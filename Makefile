@@ -1,7 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-runtime test-chaos bench bench-smoke validate clean
+.PHONY: test test-runtime test-chaos bench bench-smoke bench-goldens \
+	perfbench-tests validate clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,6 +35,24 @@ bench-smoke:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) bench_trace_store.py --smoke
 	$(PYTHON) -m satiot scenario run benchmarks/scenarios/smoke.json \
 		--smoke --out benchmarks/output/scenario-smoke
+
+# Regenerate the 36 committed benchmarks/output/*.txt tables cold (no
+# ephemeris cache, so no pass list from an older build is reused) and
+# fail if any differs from the committed copy.
+GOLDEN_BENCHES = $(notdir $(wildcard $(addprefix benchmarks/bench_, \
+	ablation_*.py appendix_*.py extension_*.py fig*.py optimization_*.py \
+	table*.py)))
+
+bench-goldens:
+	cd benchmarks && SATIOT_EPHEMERIS_CACHE=0 PYTHONPATH=../src \
+		$(PYTHON) -m pytest $(GOLDEN_BENCHES) --benchmark-disable \
+		-q -p no:cacheprovider
+	git diff --exit-code -- benchmarks/output
+
+# The benchmark's own tests: they wrap public satiot names, so a
+# refactor that drops one fails here.
+perfbench-tests:
+	$(PYTHON) -m pytest perfbench -q -p no:cacheprovider
 
 validate:
 	$(PYTHON) -m satiot validate

@@ -25,7 +25,7 @@ records the file sizes.
 The **streaming tier** (``test_trace_store_streaming``, also runnable
 standalone via ``python bench_trace_store.py --smoke``) spills a
 campaign through :mod:`satiot.streams` in a child process and measures
-the child's *peak RSS* (``resource.getrusage``): out-of-core memory
+the child's *peak RSS* (``VmHWM``, see ``_peak_rss_kib``): out-of-core memory
 must stay within a fixed budget that does not grow with trace count,
 while the streaming KPI reducers reproduce the in-RAM numbers exactly.
 The spilled shard manifest is copied into ``benchmarks/output/`` for
@@ -352,11 +352,28 @@ def _kpis_json(kpis) -> str:
                       sort_keys=True)
 
 
+def _peak_rss_kib() -> int:
+    """This process's own peak RSS in KiB.
+
+    Reads ``VmHWM`` from ``/proc/self/status``.  On Linux ``ru_maxrss``
+    survives ``exec``, so a child forked from a large parent (a long
+    pytest session) reports the parent's peak, not its own; it is only
+    the fallback where ``/proc`` is unavailable.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _stream_child(spec: dict) -> None:
     """Child-process body: synthesize, spill, fold — never hold the
     campaign in memory.  Emits one JSON line on stdout."""
-    import resource
-
     from satiot.streams.reducers import StreamingKpiReducer
     from satiot.streams.spill import ShardSpillWriter
 
@@ -376,7 +393,7 @@ def _stream_child(spec: dict) -> None:
     span_s = t_max + 1.0
     kpis = reducer.finalize(span_s)
     print(json.dumps({
-        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "maxrss_kib": _peak_rss_kib(),
         "rows": manifest["total_rows"],
         "shards": len(manifest["shards"]),
         "span_s": span_s,

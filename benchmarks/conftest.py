@@ -20,6 +20,7 @@ import dataclasses
 import json
 import os
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -28,7 +29,7 @@ from satiot.core.campaign import PassiveCampaign
 from satiot.constellations.catalog import build_constellation
 from satiot.network.store_forward import (TIANQI_GROUND_STATIONS,
                                           GroundSegment)
-from satiot.runtime.ephemeris_cache import EphemerisCache
+from satiot.runtime.ephemeris_cache import CACHE_ENV, EphemerisCache
 from satiot.scenarios import (SCENARIO_FORMAT, ScenarioRun,
                               compile_cells, load_scenario,
                               parse_scenario, run_scenario)
@@ -52,9 +53,13 @@ CACHE_DIR = Path(os.environ.get("SATIOT_EPHEMERIS_CACHE_DIR")
 _bench_cache = None
 
 
-def bench_ephemeris_cache() -> EphemerisCache:
-    """The session-wide disk-backed ephemeris cache."""
+def bench_ephemeris_cache() -> Optional[EphemerisCache]:
+    """The session-wide disk-backed ephemeris cache, or ``None`` (no
+    caching) when ``SATIOT_EPHEMERIS_CACHE`` is 0/false/off/no."""
     global _bench_cache
+    if os.environ.get(CACHE_ENV, "1").strip().lower() in (
+            "0", "false", "off", "no"):
+        return None
     if _bench_cache is None:
         _bench_cache = EphemerisCache(disk_dir=CACHE_DIR)
     return _bench_cache

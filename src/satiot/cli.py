@@ -45,7 +45,7 @@ from .core.report import format_kv, format_table
 from .core.sites import SITES
 from .orbits.frames import GeodeticPoint
 from .orbits.groundtrack import CoverageGrid
-from .orbits.passes import PassPredictor
+from .orbits.passes import find_passes_fleet
 
 __all__ = ["main", "build_parser"]
 
@@ -166,14 +166,14 @@ def cmd_passes(args: argparse.Namespace) -> int:
     constellation = build_constellation(args.constellation,
                                         seed=args.seed)
     epoch = constellation.satellites[0].tle.epoch
-    rows = []
-    for satellite in constellation:
-        predictor = PassPredictor(satellite.propagator, location,
-                                  args.min_elevation)
-        for window in predictor.find_passes(epoch, args.days * 86400.0):
-            rows.append([satellite.name, window.rise_s / 3600.0,
-                         window.duration_s / 60.0,
-                         window.max_elevation_deg])
+    satellites = list(constellation)
+    per_sat = find_passes_fleet([sat.propagator for sat in satellites],
+                                [location], epoch, args.days * 86400.0,
+                                min_elevation_deg=args.min_elevation)
+    rows = [[satellite.name, window.rise_s / 3600.0,
+             window.duration_s / 60.0, window.max_elevation_deg]
+            for satellite, windows in zip(satellites, per_sat)
+            for window in windows[0]]
     rows.sort(key=lambda r: r[1])
     print(format_table(
         ["Satellite", "rise (h)", "duration (min)", "max el (deg)"],

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..constellations.catalog import Constellation
 
 from ..orbits.frames import GeodeticPoint
-from ..orbits.passes import PassPredictor
+from ..orbits.passes import find_passes_fleet
 from ..orbits.timebase import Epoch
 
 __all__ = ["OperatorGroundStation", "TIANQI_GROUND_STATIONS",
@@ -138,19 +138,23 @@ class GroundSegment:
         #: when a ground station is in view at uplink time.
         self.processing_batch_s = processing_batch_s
 
-        # Per satellite: sorted list of (offload_start, offload_end).
-        self._windows: Dict[int, List[Tuple[float, float]]] = {}
-        for satellite in constellation:
-            spans: List[Tuple[float, float]] = []
-            for station in stations:
-                predictor = PassPredictor(satellite.propagator,
-                                          station.location,
-                                          station.min_elevation_deg)
-                for window in predictor.find_passes(
-                        epoch, duration_s, coarse_step_s=coarse_step_s):
-                    spans.append((window.rise_s, window.set_s))
-            spans.sort()
-            self._windows[satellite.norad_id] = spans
+        # Per satellite: sorted list of (offload_start, offload_end),
+        # from one fleet pass search per distinct station mask.
+        satellites = list(constellation)
+        spans: List[List[Tuple[float, float]]] = [[] for _ in satellites]
+        for mask in sorted({st.min_elevation_deg for st in stations}):
+            per_sat = find_passes_fleet(
+                [sat.propagator for sat in satellites],
+                [st.location for st in stations
+                 if st.min_elevation_deg == mask],
+                epoch, duration_s, coarse_step_s=coarse_step_s,
+                min_elevation_deg=mask)
+            for acc, rows in zip(spans, per_sat):
+                acc.extend((w.rise_s, w.set_s)
+                           for windows in rows for w in windows)
+        self._windows: Dict[int, List[Tuple[float, float]]] = {
+            sat.norad_id: sorted(acc)
+            for sat, acc in zip(satellites, spans)}
 
     # ------------------------------------------------------------------
     def offload_windows(self, norad_id: int) -> List[Tuple[float, float]]:

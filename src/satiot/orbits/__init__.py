@@ -13,7 +13,7 @@ from .kepler import (KeplerianElements, circular_velocity_km_s,
 from .passes import (ContactWindow, PassPredictor, find_passes_fleet,
                      find_passes_multi, observer_geometry)
 from .sgp4 import SGP4, DecayedError, DeepSpaceError, SGP4Error
-from .sgp4_batch import BATCH_ENV, SGP4Batch, batching_enabled
+from .sgp4_batch import SGP4Batch
 from .timebase import Epoch, gmst, jday, invjday
 from .tle import TLE, TLEError, checksum, format_tle, parse_tle, parse_tle_file
 
@@ -31,7 +31,7 @@ __all__ = [
     "ContactWindow", "PassPredictor", "find_passes_multi",
     "find_passes_fleet", "observer_geometry",
     "SGP4", "SGP4Error", "DeepSpaceError", "DecayedError",
-    "SGP4Batch", "BATCH_ENV", "batching_enabled",
+    "SGP4Batch",
     "Epoch", "gmst", "jday", "invjday",
     "TLE", "TLEError", "checksum", "parse_tle", "parse_tle_file", "format_tle",
 ]

@@ -18,28 +18,30 @@ refines each horizon crossing.  Two refinement modes exist:
     serving-grade mode used by :mod:`satiot.serving` for high-QPS
     queries.
 
-:func:`find_passes_multi` is the **multi-observer batch path**: one
-shared TEME grid (optionally via
-:class:`satiot.runtime.EphemerisCache`) is converted to ECEF once and
-elevation-tested against N observers at once, with a conservative
-visibility-cone prefilter that skips the exact elevation kernel for the
-~90 % of samples where the satellite is geometrically below the
-observer's horizon.  Results are **bit-identical** to per-observer
-serial :meth:`PassPredictor.find_passes` calls (same element-wise
-kernels, same refinement code paths) — the contract
-``tests/orbits/test_multi_observer.py`` verifies.
+:func:`find_passes_fleet` is the one pass search: N satellites × M
+observers share one batched SGP4 grid, one TEME→ECEF conversion and a
+conservative visibility-cone prefilter that skips the exact elevation
+kernel for the ~90 % of samples where a satellite is geometrically
+below an observer's horizon.  Bisection then runs in lockstep over
+every pending crossing of every pair, one batched SGP4 gather per
+iteration.  :meth:`PassPredictor.find_passes` (through
+:meth:`PassPredictor.windows_from_coarse`) and :func:`find_passes_multi`
+refine through the same search as its one-satellite cases, so every
+entry point yields the same windows for the same (satellite, observer)
+pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .constants import DEG2RAD
 from .frames import GeodeticPoint, teme_to_ecef
 from .sgp4 import SGP4
+from .sgp4_batch import SGP4Batch
 from .timebase import Epoch
 from .topocentric import (LookAngles, elevation_from_ecef, look_angles,
                           sez_rotation)
@@ -164,16 +166,6 @@ class PassPredictor:
                 offsets = np.append(offsets, duration_s)
         return offsets
 
-    def _coarse_elevations(self, epoch: Epoch,
-                           offsets: np.ndarray) -> np.ndarray:
-        """Elevation on the coarse grid, via the grid provider if set."""
-        if self.grid_provider is not None:
-            r, v = self.grid_provider(epoch, offsets)
-            jd = epoch.offset_jd(offsets)
-            return np.asarray(
-                look_angles(self.observer, r, v, jd).elevation_deg)
-        return np.asarray(self.look_angles_at(epoch, offsets).elevation_deg)
-
     # ------------------------------------------------------------------
     def find_passes(self, epoch: Epoch, duration_s: float,
                     coarse_step_s: float = 30.0,
@@ -184,186 +176,334 @@ class PassPredictor:
         Windows in progress at the span boundaries are clipped and
         flagged via ``clipped_start`` / ``clipped_end``.  ``refine``
         selects the crossing refinement mode (see module docstring).
+        The coarse grid comes from ``grid_provider`` when set; the
+        windows from the one-pair case of the fleet pass search
+        (:meth:`windows_from_coarse`).
         """
         offsets = self.coarse_offsets(duration_s, coarse_step_s)
-        elev = self._coarse_elevations(epoch, offsets)
+        if self.grid_provider is not None:
+            r, v = self.grid_provider(epoch, offsets)
+        else:
+            r, v = self.propagator.propagate(
+                float(epoch - self.propagator.tle.epoch) + offsets)
+        elev = look_angles(self.observer, r, v,
+                           epoch.offset_jd(offsets)).elevation_deg
         return self.windows_from_coarse(epoch, offsets, elev,
                                         refine_tol_s=refine_tol_s,
                                         refine=refine)
 
-    # ------------------------------------------------------------------
     def windows_from_coarse(self, epoch: Epoch, offsets: np.ndarray,
                             elev: np.ndarray, refine_tol_s: float = 0.5,
                             refine: str = "bisect",
                             ) -> List[ContactWindow]:
-        """Extract refined windows from a precomputed elevation row.
+        """Extract refined windows from a precomputed elevation row: the
+        one-satellite, one-observer case of :func:`find_passes_fleet`'s
+        search.
 
         ``elev`` must equal the observer's coarse-grid elevation at all
         above-mask samples *and their immediate neighbours*; samples
         known to be below the mask may carry any value <= the mask
         (the multi-observer prefilter exploits this).
         """
+        search = _PassSearch(epoch, np.asarray(offsets, dtype=float),
+                             [self.propagator], [self.observer],
+                             self.min_elevation_deg, refine_tol_s,
+                             refine)
+        first = np.zeros(1, dtype=np.intp)
+        search.add_segments(np.asarray(elev, dtype=float)[None], first,
+                            first)
+        return search.windows()[0]
+
+
+def _interp_crossing(mask: float, t_out: float, t_in: float,
+                     e_out: float, e_in: float) -> float:
+    """Linear interpolation of the mask crossing (no SGP4 calls).
+
+    ``(t_out, e_out)`` is the below-mask grid sample, ``(t_in,
+    e_in)`` the above-mask one; by construction ``e_in > mask >=
+    e_out`` so the denominator cannot vanish.
+    """
+    t_out, t_in = float(t_out), float(t_in)
+    e_out, e_in = float(e_out), float(e_in)
+    frac = (mask - e_out) / (e_in - e_out)
+    return t_out + frac * (t_in - t_out)
+
+
+def _interp_culmination(seg_offsets: np.ndarray, seg_elev: np.ndarray,
+                        rise: float, set_: float) -> tuple:
+    """Closed-form parabolic culmination from the grid samples only."""
+    k = int(np.argmax(seg_elev))
+    t_best = float(seg_offsets[k])
+    el_best = float(seg_elev[k])
+    if 0 < k < len(seg_offsets) - 1:
+        t0, t1, t2 = seg_offsets[k - 1:k + 2]
+        e0, e1, e2 = seg_elev[k - 1:k + 2]
+        denom = (e0 - 2.0 * e1 + e2)
+        if abs(denom) > 1e-12:
+            t_para = float(t1 + 0.5 * (t1 - t0) * (e0 - e2) / denom)
+            t_para = min(max(t_para, float(t0)), float(t2))
+            el_para = float(e1 - 0.125 * (e0 - e2) ** 2 / denom)
+            if el_para > el_best:
+                t_best, el_best = t_para, el_para
+    t_best = min(max(t_best, rise), set_)
+    return t_best, el_best
+
+
+def _clamp(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Element-wise ``min(max(t, lo), hi)`` with Python's tie rules."""
+    t = np.where(lo > t, lo, t)
+    return np.where(hi < t, hi, t)
+
+
+class _PassSearch:
+    """One pass search over many (satellite, observer) pairs.
+
+    :meth:`windows` refines every crossing of every pair **in
+    lockstep**: one :meth:`SGP4Batch.propagate_pairs` gather, rotation
+    and SEZ elevation pass per bisection iteration, one more for the
+    culminations.  Per crossing this is the scalar bisection on
+    :meth:`PassPredictor.elevation_at` (stop at ``hi - lo <= tol``,
+    strict ``>`` mask test, the same clamps), so a pair's windows do not
+    depend on the other pairs.
+    """
+
+    #: Pairs per coarse-elevation block: keeps the ``(B, T)`` prefilter
+    #: and elevation temporaries small however many pairs a search has.
+    _BLOCK_ELEMENTS = 1 << 16
+
+    def __init__(self, epoch: Epoch, offsets: np.ndarray,
+                 propagators: Sequence[SGP4],
+                 observers: Sequence[GeodeticPoint],
+                 min_elevation_deg: float, refine_tol_s: float,
+                 refine: str, batch: Optional[SGP4Batch] = None,
+                 geometry: Optional[Sequence[tuple]] = None) -> None:
         if refine not in REFINE_MODES:
             raise ValueError(f"unknown refine mode {refine!r}; "
                              f"choose from {REFINE_MODES}")
-        above = elev > self.min_elevation_deg
+        self.epoch = epoch
+        self.offsets = offsets
+        self.propagators = list(propagators)
+        self.observers = observers
+        self.mask = min_elevation_deg
+        self.tol = refine_tol_s
+        self.refine = refine
+        self._batch = batch
+        self._geometry = geometry
+        self._sites: Optional[np.ndarray] = None
+        self._rots: Optional[np.ndarray] = None
+        self._deltas: Optional[np.ndarray] = None
+        self._out: List[List[ContactWindow]] = []
+        self._parts: List[tuple] = []
 
-        windows: List[ContactWindow] = []
-        n = len(offsets)
-        if not bool(above.any()):
-            return windows
-        # Vectorized segment extraction: each maximal above-mask run is
-        # [starts[k], ends[k]).
-        edges = np.diff(above.astype(np.int8))
-        starts = (np.flatnonzero(edges == 1) + 1).tolist()
-        ends = (np.flatnonzero(edges == -1) + 1).tolist()
-        if above[0]:
-            starts.insert(0, 0)
-        if above[-1]:
-            ends.append(n)
-
-        for i, j in zip(starts, ends):
-            clipped_start = i == 0
-            clipped_end = j == n
-            if clipped_start:
-                rise = offsets[i]
-            elif refine == "bisect":
-                rise = self._bisect_crossing(
-                    epoch, offsets[i - 1], offsets[i], rising=True,
-                    tol=refine_tol_s)
-            else:
-                rise = self._interp_crossing(
-                    offsets[i - 1], offsets[i], elev[i - 1], elev[i])
-            if clipped_end:
-                set_ = offsets[j - 1]
-            elif refine == "bisect":
-                set_ = self._bisect_crossing(
-                    epoch, offsets[j - 1], offsets[j], rising=False,
-                    tol=refine_tol_s)
-            else:
-                set_ = self._interp_crossing(
-                    offsets[j - 1], offsets[j], elev[j - 1], elev[j])
-
-            if refine == "bisect":
-                culm_s, max_el = self._refine_culmination(
-                    epoch, offsets[i:j], elev[i:j], rise, set_)
-            else:
-                culm_s, max_el = self._interp_culmination(
-                    offsets[i:j], elev[i:j], rise, set_)
-            windows.append(ContactWindow(
-                rise_s=float(rise), set_s=float(set_),
-                culmination_s=float(culm_s),
-                max_elevation_deg=float(max_el),
-                norad_id=self.propagator.tle.norad_id,
-                clipped_start=clipped_start, clipped_end=clipped_end))
-        return windows
+    def _site_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(M, 3)`` sites and ``(M, 3, 3)`` SEZ rotations."""
+        if self._sites is None:
+            geometry = self._geometry or observer_geometry(self.observers)
+            self._sites = np.stack([site for site, _ in geometry])
+            self._rots = np.stack([rot for _, rot in geometry])
+        return self._sites, self._rots
 
     # ------------------------------------------------------------------
-    def _bisect_crossing(self, epoch: Epoch, t_lo: float, t_hi: float,
-                         rising: bool, tol: float) -> float:
-        """Bisect the instant where elevation crosses the mask."""
-        lo, hi = float(t_lo), float(t_hi)
-        for _ in range(64):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            above = self.elevation_at(epoch, mid) > self.min_elevation_deg
-            if above == rising:
-                # rising: above at mid means crossing is earlier.
-                hi = mid
+    def add_pairs(self, r_ecef: np.ndarray, pair_sat: Sequence[int],
+                  pair_obs: Sequence[int]) -> None:
+        """Add the pairs ``(propagators[pair_sat[k]],
+        observers[pair_obs[k]])`` from the ``(N, T, 3)`` ECEF grid track
+        (row ``n`` belongs to ``propagators[n]``).
+
+        When observers share satellites, a visibility-cone prefilter
+        skips the exact elevation kernel where a satellite is provably
+        below the mask; the -90 deg filler there changes no window.
+        """
+        pair_sat = np.asarray(pair_sat, dtype=np.intp)
+        pair_obs = np.asarray(pair_obs, dtype=np.intp)
+        sites, rots = self._site_arrays()
+        shared = len(pair_sat) > len(r_ecef)
+        if shared:
+            u_sat, cos_lam = _visibility_cone(r_ecef, self.mask)
+            u_obs = sites / np.sqrt(np.sum(sites * sites, axis=-1,
+                                           keepdims=True))
+        block = max(1, self._BLOCK_ELEMENTS // self.offsets.size)
+        for b in range(0, len(pair_sat), block):
+            sat = pair_sat[b:b + block]
+            obs = pair_obs[b:b + block]
+            if not shared:
+                elev = elevation_from_ecef(None, r_ecef[sat],
+                                           sites[obs, None],
+                                           rots[obs, None])
             else:
-                lo = mid
+                cos_psi = np.einsum("pc,ptc->pt", u_obs[obs], u_sat[sat])
+                cand = cos_psi >= cos_lam[sat]
+                # Dilate by one grid step each way so crossing
+                # refinement always sees exact below-mask neighbours
+                # (copy first: in-place |= on overlapping views would
+                # cascade).
+                dilated = cand.copy()
+                dilated[:, :-1] |= cand[:, 1:]
+                dilated[:, 1:] |= cand[:, :-1]
+                rows, cols = np.nonzero(dilated)
+                elev = np.full(cand.shape, -90.0)
+                elev[rows, cols] = elevation_from_ecef(
+                    None, r_ecef[sat[rows], cols], sites[obs[rows]],
+                    rots[obs[rows]])
+            self.add_segments(elev, sat, obs)
+
+    def add_segments(self, elev: np.ndarray, pair_sat: np.ndarray,
+                     pair_obs: np.ndarray) -> None:
+        """Add pairs from their ``(B, T)`` coarse elevation rows.
+
+        Each row must be exact at above-mask samples and their
+        neighbours; anything at or below the mask may stand elsewhere.
+        """
+        offsets = self.offsets
+        n = offsets.size
+        first = len(self._out)
+        self._out.extend([] for _ in range(len(pair_sat)))
+        above = np.zeros((elev.shape[0], n + 2), dtype=np.int8)
+        above[:, 1:-1] = elev > self.mask
+        edges = (above[:, 1:] - above[:, :-1]).ravel()
+        row, start = np.divmod(np.flatnonzero(edges == 1), n + 1)
+        if not row.size:
+            return
+        end = np.flatnonzero(edges == -1) % (n + 1)
+        if self.refine == "interp":
+            sats = pair_sat.tolist()
+            for r, i, j in zip(row.tolist(), start.tolist(), end.tolist()):
+                self._out[first + r].append(self._window(
+                    sats[r], *self._interp_segment(elev[r], i, j),
+                    i == 0, j == n))
+            return
+        rise, set_ = offsets[start], offsets[end - 1]
+        # First maximum of each segment (np.argmax semantics).
+        lengths = end - start
+        head = np.cumsum(lengths) - lengths
+        seg = np.repeat(np.arange(row.size), lengths)
+        col = np.arange(lengths.sum()) - head[seg] + start[seg]
+        vals = elev[row[seg], col]
+        peak = np.maximum.reduceat(vals, head)
+        k = np.minimum.reduceat(np.where(vals == peak[seg], col, n), head)
+        t_best, el_best = offsets[k], elev[row, k]
+        # Parabolic culmination candidates through the peak's two
+        # neighbours, clamped to the segment's grid span.
+        t_para = np.empty(row.size)
+        has_para = (k > start) & (k < end - 1)
+        idx = np.flatnonzero(has_para)
+        kr = row[idx]
+        t0, t1 = offsets[k[idx] - 1], offsets[k[idx]]
+        e0, e1, e2 = (elev[kr, k[idx] - 1], elev[kr, k[idx]],
+                      elev[kr, k[idx] + 1])
+        denom = e0 - 2.0 * e1 + e2
+        ok = np.abs(denom) > 1e-12
+        has_para[idx[~ok]] = False
+        idx = idx[ok]
+        t_para[idx] = _clamp(
+            t1[ok] + 0.5 * (t1[ok] - t0[ok]) * (e0[ok] - e2[ok])
+            / denom[ok], offsets[start[idx]], offsets[end[idx] - 1])
+        self._parts.append((first + row, pair_sat[row], pair_obs[row],
+                            start, end, rise, set_, t_best, el_best,
+                            t_para, has_para))
+
+    def _interp_segment(self, elev: np.ndarray, i: int,
+                        j: int) -> tuple:
+        """Closed-form rise, set and culmination of one segment."""
+        t, mask = self.offsets, self.mask
+        rise = t[i] if i == 0 else _interp_crossing(
+            mask, t[i - 1], t[i], elev[i - 1], elev[i])
+        set_ = t[j - 1] if j == t.size else _interp_crossing(
+            mask, t[j - 1], t[j], elev[j - 1], elev[j])
+        return (rise, set_) + _interp_culmination(t[i:j], elev[i:j], rise,
+                                                  set_)
+
+    def _window(self, sat: int, rise: float, set_: float, culm: float,
+                peak: float, clipped_start: bool,
+                clipped_end: bool) -> ContactWindow:
+        return ContactWindow(
+            rise_s=float(rise), set_s=float(set_),
+            culmination_s=float(culm), max_elevation_deg=float(peak),
+            norad_id=self.propagators[sat].tle.norad_id,
+            clipped_start=clipped_start, clipped_end=clipped_end)
+
+    # ------------------------------------------------------------------
+    def _elevations(self, sat: np.ndarray, obs: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+        """Elevation of satellite ``sat[k]`` over observer ``obs[k]``
+        at ``epoch + t[k]``: one gather, one rotation, one SEZ pass."""
+        if self._batch is None:
+            self._batch = SGP4Batch.from_propagators(self.propagators)
+        if self._deltas is None:
+            self._deltas = np.array([float(self.epoch - p.tle.epoch)
+                                     for p in self.propagators])
+        sites, rots = self._site_arrays()
+        r, _ = self._batch.propagate_pairs(sat, self._deltas[sat] + t)
+        r_ecef = teme_to_ecef(r, self.epoch.offset_jd(t))
+        return elevation_from_ecef(None, r_ecef, sites[obs], rots[obs])
+
+    def _bisect(self, lo: np.ndarray, hi: np.ndarray,
+                rising: np.ndarray, sat: np.ndarray,
+                obs: np.ndarray) -> np.ndarray:
+        """Bisect every mask crossing at once; returns the midpoints."""
+        open_ = np.flatnonzero(~(hi - lo <= self.tol))
+        for _ in range(64):
+            if not open_.size:
+                break
+            mid = 0.5 * (lo[open_] + hi[open_])
+            above = self._elevations(sat[open_], obs[open_],
+                                     mid) > self.mask
+            # Rising: above at mid means the crossing is earlier.
+            down = above == rising[open_]
+            hi[open_[down]] = mid[down]
+            lo[open_[~down]] = mid[~down]
+            open_ = open_[~(hi[open_] - lo[open_] <= self.tol)]
         return 0.5 * (lo + hi)
 
-    def _interp_crossing(self, t_out: float, t_in: float,
-                         e_out: float, e_in: float) -> float:
-        """Linear interpolation of the mask crossing (no SGP4 calls).
-
-        ``(t_out, e_out)`` is the below-mask grid sample, ``(t_in,
-        e_in)`` the above-mask one; by construction ``e_in > mask >=
-        e_out`` so the denominator cannot vanish.
-        """
-        t_out, t_in = float(t_out), float(t_in)
-        e_out, e_in = float(e_out), float(e_in)
-        frac = (self.min_elevation_deg - e_out) / (e_in - e_out)
-        return t_out + frac * (t_in - t_out)
-
-    def _refine_culmination(self, epoch: Epoch, seg_offsets: np.ndarray,
-                            seg_elev: np.ndarray, rise: float,
-                            set_: float) -> tuple:
-        """Parabolic refinement of the elevation maximum inside a segment."""
-        k = int(np.argmax(seg_elev))
-        t_best = float(seg_offsets[k])
-        el_best = float(seg_elev[k])
-        if 0 < k < len(seg_offsets) - 1:
-            t0, t1, t2 = seg_offsets[k - 1:k + 2]
-            e0, e1, e2 = seg_elev[k - 1:k + 2]
-            denom = (e0 - 2.0 * e1 + e2)
-            if abs(denom) > 1e-12:
-                t_para = float(t1 + 0.5 * (t1 - t0) * (e0 - e2) / denom)
-                t_para = min(max(t_para, float(seg_offsets[0])),
-                             float(seg_offsets[-1]))
-                el_para = self.elevation_at(epoch, t_para)
-                if el_para > el_best:
-                    t_best, el_best = t_para, el_para
-        t_best = min(max(t_best, rise), set_)
-        return t_best, el_best
-
-    def _interp_culmination(self, seg_offsets: np.ndarray,
-                            seg_elev: np.ndarray, rise: float,
-                            set_: float) -> tuple:
-        """Closed-form parabolic culmination from the grid samples only."""
-        k = int(np.argmax(seg_elev))
-        t_best = float(seg_offsets[k])
-        el_best = float(seg_elev[k])
-        if 0 < k < len(seg_offsets) - 1:
-            t0, t1, t2 = seg_offsets[k - 1:k + 2]
-            e0, e1, e2 = seg_elev[k - 1:k + 2]
-            denom = (e0 - 2.0 * e1 + e2)
-            if abs(denom) > 1e-12:
-                t_para = float(t1 + 0.5 * (t1 - t0) * (e0 - e2) / denom)
-                t_para = min(max(t_para, float(t0)), float(t2))
-                el_para = float(e1 - 0.125 * (e0 - e2) ** 2 / denom)
-                if el_para > el_best:
-                    t_best, el_best = t_para, el_para
-        t_best = min(max(t_best, rise), set_)
-        return t_best, el_best
+    def windows(self) -> List[List[ContactWindow]]:
+        """Refined windows of every pair, in the order pairs were added."""
+        if not self._parts:
+            return self._out
+        (pair, sat, obs, start, end, rise, set_, t_best, el_best,
+         t_para, has_para) = (np.concatenate(a) for a in zip(*self._parts))
+        self._parts = []
+        offsets = self.offsets
+        n = offsets.size
+        ri = np.flatnonzero(start > 0)
+        si = np.flatnonzero(end < n)
+        crossings = np.concatenate([ri, si])
+        mid = self._bisect(
+            np.concatenate([offsets[start[ri] - 1], offsets[end[si] - 1]]),
+            np.concatenate([offsets[start[ri]], offsets[end[si]]]),
+            np.arange(crossings.size) < ri.size,
+            sat[crossings], obs[crossings])
+        rise[ri], set_[si] = mid[:ri.size], mid[ri.size:]
+        ci = np.flatnonzero(has_para)
+        if ci.size:
+            el_para = self._elevations(sat[ci], obs[ci], t_para[ci])
+            better = el_para > el_best[ci]
+            t_best[ci[better]] = t_para[ci[better]]
+            el_best[ci[better]] = el_para[better]
+        t_best = _clamp(t_best, rise, set_)
+        for p, *window in zip(
+                pair.tolist(), sat.tolist(), rise.tolist(), set_.tolist(),
+                t_best.tolist(), el_best.tolist(), (start == 0).tolist(),
+                (end == n).tolist()):
+            self._out[p].append(self._window(*window))
+        return self._out
 
 
-# ----------------------------------------------------------------------
-# Multi-observer batch path
-# ----------------------------------------------------------------------
-def _visibility_prefilter(sites: np.ndarray,
-                          r_ecef: np.ndarray,
-                          min_elevation_deg: float) -> np.ndarray:
-    """Conservative per-(observer, sample) candidate mask ``(M, N)``.
+def _visibility_cone(r_ecef: np.ndarray, min_elevation_deg: float,
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit vectors ``u`` and visibility-cone cosines of ECEF samples.
 
-    ``True`` wherever the satellite *might* be above the observer's
-    elevation mask.  Uses the spherical central-angle bound ``lambda =
-    arccos((R/r) cos m) - m`` with a deliberately small Earth radius and
-    a 3-degree slack, so a truly above-mask sample can never be
-    excluded (soundness is load-bearing: the pass finder skips the
-    exact elevation kernel outside the mask).
+    A sample *might* be above an observer's mask only if the observer's
+    unit vector ``o`` has ``o . u >= cos_lam``: the spherical bound
+    ``lambda = arccos((R/r) cos m) - m`` with a deliberately small Earth
+    radius and a 3-degree slack never excludes an above-mask sample.
     """
-    r_norm = np.sqrt(np.sum(r_ecef * r_ecef, axis=-1))       # (N,)
-    u_sat = r_ecef / r_norm[..., None]                        # (N, 3)
+    r_norm = np.sqrt(np.sum(r_ecef * r_ecef, axis=-1))
+    u_sat = r_ecef / r_norm[..., None]
     m_rad = min_elevation_deg * DEG2RAD
     ratio = np.clip(_PREFILTER_RADIUS_KM / r_norm, -1.0, 1.0)
     lam = (np.arccos(np.clip(ratio * np.cos(m_rad), -1.0, 1.0))
-           - m_rad + _PREFILTER_SLACK_DEG * DEG2RAD)          # (N,)
-    cos_lam = np.cos(np.clip(lam, 0.0, np.pi))
-
-    u_obs = sites / np.sqrt(np.sum(sites * sites,
-                                   axis=-1, keepdims=True))
-    cos_psi = u_obs @ u_sat.T                                 # (M, N)
-    cand = cos_psi >= cos_lam[None, :]
-    # Dilate by one grid step each way so crossing interpolation always
-    # sees exact below-mask neighbours (copy first: in-place |= on
-    # overlapping views would cascade).
-    dilated = cand.copy()
-    dilated[:, :-1] |= cand[:, 1:]
-    dilated[:, 1:] |= cand[:, :-1]
-    return dilated
+           - m_rad + _PREFILTER_SLACK_DEG * DEG2RAD)
+    return u_sat, np.cos(np.clip(lam, 0.0, np.pi))
 
 
 def observer_geometry(observers: Sequence[GeodeticPoint],
@@ -385,86 +525,15 @@ def find_passes_multi(propagator: SGP4,
                       min_elevation_deg: float = 0.0,
                       refine_tol_s: float = 0.5,
                       refine: str = "bisect",
-                      grid_provider=None,
                       geometry: Optional[Sequence[tuple]] = None,
                       ) -> List[List[ContactWindow]]:
-    """Contact windows of one satellite over N observers at once.
-
-    One SGP4 grid evaluation (or one ``grid_provider`` call — pass
-    :meth:`satiot.runtime.EphemerisCache.grid_provider` to share grids
-    across satellites and requests) and one TEME→ECEF conversion are
-    shared by all observers; the exact elevation kernel runs only on
-    the visibility-cone candidate samples of each observer.
-    ``geometry`` may carry :func:`observer_geometry` output to amortize
-    site/rotation setup across satellites.
-
-    Returns one window list per observer, **bit-identical** to the
-    serial ``PassPredictor(propagator, obs, ...).find_passes(...)``
-    result with the same parameters.
-    """
-    observers = list(observers)
-    if not observers:
-        return []
-    offsets = PassPredictor.coarse_offsets(duration_s, coarse_step_s)
-    if grid_provider is not None:
-        r, v = grid_provider(epoch, offsets)
-    else:
-        tsince = float(epoch - propagator.tle.epoch) + offsets
-        r, v = propagator.propagate(tsince)
-    jd = epoch.offset_jd(offsets)
-    r_ecef = teme_to_ecef(r, jd)
-
-    if geometry is None:
-        geometry = observer_geometry(observers)
-    return _windows_from_ecef(propagator, observers, geometry, epoch,
-                              offsets, r_ecef, min_elevation_deg,
-                              refine_tol_s, refine,
-                              grid_provider=grid_provider)
-
-
-def _windows_from_ecef(propagator: SGP4,
-                       observers: Sequence[GeodeticPoint],
-                       geometry: Sequence[tuple],
-                       epoch: Epoch, offsets: np.ndarray,
-                       r_ecef: np.ndarray,
-                       min_elevation_deg: float,
-                       refine_tol_s: float, refine: str,
-                       grid_provider=None,
-                       ) -> List[List[ContactWindow]]:
-    """Per-observer windows of one satellite from its ECEF grid track.
-
-    Shared core of :func:`find_passes_multi` and
-    :func:`find_passes_fleet`: prefilter, exact elevation on candidate
-    samples, then the scalar refinement path — so both batch entry
-    points inherit the serial path's bit-identity by construction.
-    """
-    sites = np.stack([site for site, _ in geometry])
-    cand = _visibility_prefilter(sites, r_ecef, min_elevation_deg)
-
-    n = offsets.size
-    results: List[List[ContactWindow]] = []
-    for m, observer in enumerate(observers):
-        predictor = PassPredictor(propagator, observer,
-                                  min_elevation_deg,
-                                  grid_provider=grid_provider)
-        site, rot = geometry[m]
-        idx = np.nonzero(cand[m])[0]
-        if idx.size == n:
-            elev_row = np.asarray(
-                elevation_from_ecef(observer, r_ecef, site, rot))
-        else:
-            # Samples outside the candidate set are provably below the
-            # mask; any below-mask filler keeps the window extraction
-            # bit-identical (crossing neighbours are inside the dilated
-            # candidate set, hence exact).
-            elev_row = np.full(n, -90.0)
-            if idx.size:
-                elev_row[idx] = elevation_from_ecef(
-                    observer, r_ecef[idx], site, rot)
-        results.append(predictor.windows_from_coarse(
-            epoch, offsets, elev_row, refine_tol_s=refine_tol_s,
-            refine=refine))
-    return results
+    """Contact windows of one satellite over N observers: the
+    one-satellite case of :func:`find_passes_fleet`."""
+    return find_passes_fleet([propagator], observers, epoch, duration_s,
+                             coarse_step_s=coarse_step_s,
+                             min_elevation_deg=min_elevation_deg,
+                             refine_tol_s=refine_tol_s, refine=refine,
+                             geometry=geometry)[0]
 
 
 def find_passes_fleet(propagators: Sequence[SGP4],
@@ -477,25 +546,19 @@ def find_passes_fleet(propagators: Sequence[SGP4],
                       fleet_grid_provider=None,
                       geometry: Optional[Sequence[tuple]] = None,
                       ) -> List[List[List[ContactWindow]]]:
-    """Contact windows of N satellites over M observers at once.
+    """Contact windows of N satellites over M observers: the pass search.
 
-    The whole fleet is propagated in one :class:`SGP4Batch` call over
-    one shared coarse grid (or one ``fleet_grid_provider`` call — pass
-    :meth:`satiot.runtime.EphemerisCache.fleet_grid_provider` to share
-    constellation grids across requests), GMST and the TEME→ECEF
-    rotation are evaluated **once per grid** instead of once per
-    satellite, and observer geometry is computed once and reused by
-    every satellite.
+    The fleet is propagated in one :class:`SGP4Batch` call over one
+    shared coarse grid, or taken from ``fleet_grid_provider(epoch,
+    offsets) -> (r, v)`` whose ``(N, T, 3)`` row ``n`` must equal what
+    ``propagators[n].propagate`` would produce (see
+    :meth:`satiot.runtime.EphemerisCache.fleet_grid_provider`).  GMST
+    and TEME→ECEF run once per grid and every crossing of every pair is
+    refined in lockstep (:class:`_PassSearch`).  ``geometry`` may carry
+    :func:`observer_geometry` output to amortize site/rotation setup.
 
-    ``fleet_grid_provider`` must be a callable ``(epoch, offsets) ->
-    (r, v)`` returning ``(N, T, 3)`` stacks whose row ``n`` equals what
-    ``propagators[n].propagate`` would produce.
-
-    Returns ``results[n][m]``: the window list of satellite ``n`` over
-    observer ``m``, **bit-identical** to the nested serial
-    ``PassPredictor(propagators[n], observers[m], ...).find_passes(...)``
-    (and hence to per-satellite :func:`find_passes_multi` calls) with
-    the same parameters.
+    Returns ``results[n][m]``: the windows of satellite ``n`` over
+    observer ``m``, which do not depend on the other pairs searched.
     """
     propagators = list(propagators)
     observers = list(observers)
@@ -504,24 +567,24 @@ def find_passes_fleet(propagators: Sequence[SGP4],
     if not observers:
         return [[] for _ in propagators]
     offsets = PassPredictor.coarse_offsets(duration_s, coarse_step_s)
+    batch = None
     if fleet_grid_provider is not None:
-        r, v = fleet_grid_provider(epoch, offsets)
+        r, _ = fleet_grid_provider(epoch, offsets)
     else:
-        from .sgp4_batch import SGP4Batch
         batch = SGP4Batch.from_propagators(propagators)
-        r, v = batch.propagate_offsets(epoch, offsets)
+        r, _ = batch.propagate_offsets(epoch, offsets)
     r = np.asarray(r, dtype=float)
     if r.ndim != 3 or r.shape[0] != len(propagators):
         raise ValueError(
             f"fleet grid must have shape (N, T, 3), got {r.shape}")
-    jd = epoch.offset_jd(offsets)
     # One GMST + one rotation for the whole (N, T, 3) stack: the jd row
     # broadcasts across satellites, so the trigonometry runs once.
-    r_ecef = teme_to_ecef(r, jd)
-
-    if geometry is None:
-        geometry = observer_geometry(observers)
-    return [_windows_from_ecef(propagator, observers, geometry, epoch,
-                               offsets, r_ecef[i], min_elevation_deg,
-                               refine_tol_s, refine)
-            for i, propagator in enumerate(propagators)]
+    r_ecef = teme_to_ecef(r, epoch.offset_jd(offsets))
+    n, m = len(propagators), len(observers)
+    search = _PassSearch(epoch, offsets, propagators, observers,
+                         min_elevation_deg, refine_tol_s, refine, batch,
+                         geometry)
+    search.add_pairs(r_ecef, np.repeat(np.arange(n), m),
+                     np.tile(np.arange(m), n))
+    windows = search.windows()
+    return [windows[i * m:(i + 1) * m] for i in range(n)]

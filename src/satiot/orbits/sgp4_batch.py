@@ -48,7 +48,6 @@ is unaffected.
 
 from __future__ import annotations
 
-import os
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,22 +57,9 @@ from .sgp4 import SGP4, DecayedError, SGP4Error
 from .timebase import Epoch
 from .tle import TLE
 
-__all__ = ["SGP4Batch", "BATCH_ENV", "batching_enabled"]
+__all__ = ["SGP4Batch"]
 
 ArrayLike = Union[float, np.ndarray]
-
-#: Kill switch: set to 0/false/off to force every fleet-level consumer
-#: (scheduler, serving, fleet sweeps) back onto the per-satellite
-#: scalar path.  Results are bit-identical either way — the switch
-#: exists for A/B verification and debugging, not correctness.
-BATCH_ENV = "SATIOT_BATCH_SGP4"
-
-
-def batching_enabled() -> bool:
-    """Whether fleet-level consumers should use the batched kernel."""
-    return os.environ.get(BATCH_ENV, "1").strip().lower() not in (
-        "0", "false", "off", "no")
-
 
 #: Scalar sgp4init products stacked into (N, 1) coefficient columns.
 _COEF_FIELDS = (
@@ -238,12 +224,33 @@ class SGP4Batch:
                                                     check_decay)
         return r, v
 
-    def _propagate_rows(self, t: np.ndarray, rows: slice,
+    def propagate_pairs(self, rows: Sequence[int], tsince_s: ArrayLike,
+                        check_decay: bool = True,
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """TEME ``(K, 3)`` states of K (satellite row, instant) pairs.
+
+        ``tsince_s[k]`` is seconds since the epoch of satellite
+        ``rows[k]`` (rows may repeat, in any order); row ``k`` is
+        bit-identical to ``propagators[rows[k]].propagate(tsince_s[k])``
+        and a decayed pair raises :class:`DecayedError` naming it.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        t = np.asarray(tsince_s, dtype=float) / 60.0  # minutes
+        if rows.ndim != 1 or t.shape != rows.shape:
+            raise ValueError(
+                f"rows and tsince_s must be matching (K,) arrays, got "
+                f"{rows.shape} and {np.shape(tsince_s)}")
+        r, v = self._propagate_rows(t[:, None], rows, check_decay)
+        return r[:, 0], v[:, 0]
+
+    def _propagate_rows(self, t: np.ndarray,
+                        rows: Union[slice, np.ndarray],
                         check_decay: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the kernel over a contiguous row block.
+        """Run the kernel over one block of coefficient rows.
 
         ``t`` is the block's ``(B, T)`` minutes-since-epoch matrix and
-        ``rows`` selects the matching coefficient rows.  Every
+        ``rows`` selects the matching coefficient rows: a contiguous
+        slice, or an index array gathering rows in any order.  Every
         operation below is row-independent, so partitioning the fleet
         into blocks cannot change any element's value.
         """

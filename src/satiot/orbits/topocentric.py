@@ -92,11 +92,13 @@ def _sez_components(vec: np.ndarray, rot: np.ndarray):
     Written without a matrix product so each output element is an
     identical chain of scalar IEEE operations regardless of the batch
     shape — the root of the serial == batched bit-identity contract.
+    ``rot`` is one ``(3, 3)`` rotation or a stack ``(..., 3, 3)`` that
+    broadcasts against ``vec``'s leading axes (one per vector).
     """
     x, y, z = vec[..., 0], vec[..., 1], vec[..., 2]
-    s = x * rot[0, 0] + y * rot[0, 1] + z * rot[0, 2]
-    e = x * rot[1, 0] + y * rot[1, 1] + z * rot[1, 2]
-    zz = x * rot[2, 0] + y * rot[2, 1] + z * rot[2, 2]
+    s = x * rot[..., 0, 0] + y * rot[..., 0, 1] + z * rot[..., 0, 2]
+    e = x * rot[..., 1, 0] + y * rot[..., 1, 1] + z * rot[..., 1, 2]
+    zz = x * rot[..., 2, 0] + y * rot[..., 2, 1] + z * rot[..., 2, 2]
     return s, e, zz
 
 
@@ -136,7 +138,9 @@ def elevation_from_ecef(observer: GeodeticPoint,
     bit-identical to ``look_angles(...).elevation_deg`` on the same
     states (same element-wise expression chain).  ``site``/``rot`` may
     carry the precomputed ``observer.ecef()`` / :func:`sez_rotation` to
-    amortize them across repeated calls (they are trusted verbatim).
+    amortize them across repeated calls (they are trusted verbatim), or
+    per-state ``(K, 3)`` / ``(K, 3, 3)`` stacks giving each of K states
+    its own observer (``observer`` is then unused).
     """
     if site is None:
         site = observer.ecef()

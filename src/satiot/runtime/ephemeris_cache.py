@@ -63,9 +63,7 @@ import numpy as np
 
 from ..faults import fault_fires
 from ..orbits.frames import GeodeticPoint, teme_to_ecef
-from ..orbits.passes import (ContactWindow, PassPredictor,
-                             _windows_from_ecef, observer_geometry)
-from ..orbits.passes import find_passes_multi as _orbits_find_passes_multi
+from ..orbits.passes import ContactWindow, PassPredictor, _PassSearch
 from ..orbits.sgp4 import SGP4
 from ..orbits.sgp4_batch import SGP4Batch
 from ..orbits.timebase import Epoch
@@ -528,56 +526,6 @@ class EphemerisCache:
         self._store_passes(key, windows)
         return list(windows)
 
-    def find_passes_multi(self, propagator: SGP4,
-                          observers: Sequence[GeodeticPoint],
-                          epoch: Epoch, duration_s: float,
-                          coarse_step_s: float = 30.0,
-                          min_elevation_deg: float = 0.0,
-                          refine_tol_s: float = 0.5,
-                          refine: str = "bisect",
-                          geometry: Optional[Sequence[tuple]] = None,
-                          ) -> List[List[ContactWindow]]:
-        """Cached multi-observer pass prediction (one list per observer).
-
-        Per-observer window lists hit the same cache entries as serial
-        :meth:`find_passes` calls — the batch path's bit-identity
-        contract is what makes the shared keys sound.  Only the
-        observers that miss are computed, in one
-        :func:`~satiot.orbits.passes.find_passes_multi` sweep over the
-        shared (cached) propagation grid.
-        """
-        observers = list(observers)
-        results: List[Optional[List[ContactWindow]]] = \
-            [None] * len(observers)
-        missing: List[int] = []
-        keys: List[tuple] = []
-        for idx, observer in enumerate(observers):
-            key = self.pass_key(propagator.tle, observer, epoch,
-                                duration_s, coarse_step_s,
-                                min_elevation_deg, refine_tol_s, refine)
-            keys.append(key)
-            cached = self._lookup_passes(key)
-            if cached is not None:
-                results[idx] = list(cached)
-            else:
-                missing.append(idx)
-        if missing:
-            self.stats.pass_misses += len(missing)
-            sub_geometry = None
-            if geometry is not None:
-                sub_geometry = [geometry[i] for i in missing]
-            computed = _orbits_find_passes_multi(
-                propagator, [observers[i] for i in missing], epoch,
-                duration_s, coarse_step_s=coarse_step_s,
-                min_elevation_deg=min_elevation_deg,
-                refine_tol_s=refine_tol_s, refine=refine,
-                grid_provider=self.grid_provider(propagator),
-                geometry=sub_geometry)
-            for idx, windows in zip(missing, computed):
-                self._store_passes(keys[idx], tuple(windows))
-                results[idx] = windows
-        return results  # type: ignore[return-value]
-
     def find_passes_fleet(self, propagators: Sequence[SGP4],
                           observers: Sequence[GeodeticPoint],
                           epoch: Epoch, duration_s: float,
@@ -590,13 +538,13 @@ class EphemerisCache:
         """Cached fleet pass prediction: ``results[sat][observer]``.
 
         Every (satellite, observer) window list hits the **same** cache
-        entries as serial :meth:`find_passes` /
-        :meth:`find_passes_multi` calls — key compatibility rests on
-        the batched kernel's bit-identity.  Missing pairs are computed
-        through the fleet path: one cached
-        :meth:`constellation_grid` fill, then one shared TEME→ECEF
-        conversion (GMST evaluated once) restricted to the satellites
-        that actually miss.
+        entries as serial :meth:`find_passes` calls — key compatibility
+        rests on a pair's windows not depending on the search that
+        computed them.  Missing pairs are computed by one pass search:
+        one cached :meth:`constellation_grid` fill, one shared
+        TEME→ECEF conversion (GMST evaluated once) restricted to the
+        satellites that actually miss, and lockstep refinement of every
+        missing pair's crossings.
         """
         propagators = list(propagators)
         observers = list(observers)
@@ -633,18 +581,18 @@ class EphemerisCache:
             jd = epoch.offset_jd(offsets)
             # One GMST + rotation for all satellites that miss.
             r_ecef = teme_to_ecef(r[miss_sats], jd)
-            if geometry is None:
-                geometry = observer_geometry(observers)
-            for row, i in enumerate(miss_sats):
-                missing = missing_by_sat[i]
-                computed = _windows_from_ecef(
-                    propagators[i], [observers[m] for m in missing],
-                    [geometry[m] for m in missing], epoch, offsets,
-                    r_ecef[row], min_elevation_deg, refine_tol_s,
-                    refine)
-                for m, windows in zip(missing, computed):
-                    self._store_passes(keys[i][m], tuple(windows))
-                    results[i][m] = windows
+            pairs = [(row, m) for row, i in enumerate(miss_sats)
+                     for m in missing_by_sat[i]]
+            search = _PassSearch(
+                epoch, offsets, [propagators[i] for i in miss_sats],
+                observers, min_elevation_deg, refine_tol_s, refine,
+                geometry=geometry)
+            search.add_pairs(r_ecef, [row for row, _ in pairs],
+                             [m for _, m in pairs])
+            for (row, m), windows in zip(pairs, search.windows()):
+                i = miss_sats[row]
+                self._store_passes(keys[i][m], tuple(windows))
+                results[i][m] = windows
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

@@ -303,7 +303,7 @@ def _run_presence_cell(cell: CompiledCell,
     from ..core.sites import SITES
     from ..core.stats import (interval_gaps, merge_intervals,
                               total_length)
-    from ..orbits.passes import PassPredictor
+    from ..orbits.passes import find_passes_fleet
     params = cell.params
     constellations = build_cell_constellations(cell)
     fingerprints = _fleet_fingerprints(constellations)
@@ -316,18 +316,15 @@ def _run_presence_cell(cell: CompiledCell,
     for constellation in constellations.values():
         display = constellation.name
         triples.append(("satellites", display, len(constellation)))
-        for code in params["sites"]:
-            location = SITES[code].location
-            spans = []
-            for satellite in constellation:
-                predictor = PassPredictor(
-                    satellite.propagator, location,
-                    params["min_elevation_deg"])
-                for window in predictor.find_passes(
-                        epoch, span_s,
-                        coarse_step_s=params["coarse_step_s"]):
-                    spans.append((window.rise_s, window.set_s))
-            merged = merge_intervals(spans)
+        per_sat = find_passes_fleet(
+            [satellite.propagator for satellite in constellation],
+            [SITES[code].location for code in params["sites"]], epoch,
+            span_s, coarse_step_s=params["coarse_step_s"],
+            min_elevation_deg=params["min_elevation_deg"])
+        for m, code in enumerate(params["sites"]):
+            merged = merge_intervals((window.rise_s, window.set_s)
+                                     for rows in per_sat
+                                     for window in rows[m])
             hours = total_length(merged) / span_s * 24.0
             gaps = interval_gaps(merged, 0.0, span_s)
             subject = f"{display}@{code}"

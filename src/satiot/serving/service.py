@@ -16,11 +16,11 @@ through the fleet fast path
 constellation is propagated as one struct-of-arrays
 :class:`~satiot.orbits.sgp4_batch.SGP4Batch` call over the shared
 grid, with GMST and the TEME→ECEF conversion computed once per group
-rather than once per satellite (set ``SATIOT_BATCH_SGP4=0`` to fall
-back to the per-satellite multi-observer sweep).  A group of one falls
-back to the serial per-observer path — by the batch layer's
-bit-identity contract all paths produce identical windows and share
-cache entries, so mixing them is safe.
+rather than once per satellite.  A group of one observer goes through
+per-satellite :meth:`~satiot.runtime.EphemerisCache.find_passes`
+lookups — a pair's windows do not depend on the search that computed
+them, so both paths produce identical windows and share cache
+entries, and mixing them is safe.
 
 All handlers are synchronous and thread-safe under the serving layer's
 single-worker executor (one batch in flight at a time per batcher).
@@ -40,7 +40,6 @@ from ..econ.providers import ProviderSpec, get_provider, provider_names
 from ..orbits.doppler import doppler_shift_hz
 from ..orbits.frames import GeodeticPoint
 from ..orbits.passes import ContactWindow, observer_geometry
-from ..orbits.sgp4_batch import batching_enabled
 from ..orbits.timebase import Epoch
 from ..orbits.topocentric import ecef_states, look_angles_from_ecef
 from ..phy.link_budget import LinkBudget
@@ -535,11 +534,10 @@ class ConstellationService:
         horizon_s = float(start_s) + float(horizon_s)
         per_observer: List[List[ContactWindow]] = \
             [[] for _ in observers]
-        if len(observers) == 1 and not (self.realtime
-                                        and batching_enabled()):
-            # Serial per-observer path: identical results by the batch
-            # layer's bit-identity contract, and the honest baseline for
-            # the unbatched serving mode.  Realtime twins skip it — only
+        if len(observers) == 1 and not self.realtime:
+            # Per-satellite path for a lone observer: identical windows
+            # to the fleet search, and the honest baseline for the
+            # unbatched serving mode.  Realtime twins skip it — only
             # the constellation-batched path below publishes the grids
             # the incremental extension tier grows.
             for sat in const:
@@ -549,12 +547,12 @@ class ConstellationService:
                     min_elevation_deg=min_elevation_deg,
                     refine_tol_s=self.refine_tol_s, refine=self.refine)
                 per_observer[0].extend(windows)
-        elif batching_enabled():
+        else:
             # Fleet flush: all N satellites x M observers through one
             # constellation-batched propagation, one GMST/ECEF pass and
             # one shared observer-geometry precompute.  Extension stays
             # satellite-major, so responses are byte-identical to the
-            # per-satellite loop below (stable rise-time sort).
+            # per-satellite loop above (stable rise-time sort).
             geometry = observer_geometry(observers)
             per_sat = self.ephemeris.find_passes_fleet(
                 [sat.propagator for sat in const], observers, epoch,
@@ -563,17 +561,6 @@ class ConstellationService:
                 refine_tol_s=self.refine_tol_s, refine=self.refine,
                 geometry=geometry)
             for rows in per_sat:
-                for windows, acc in zip(rows, per_observer):
-                    acc.extend(windows)
-        else:
-            geometry = observer_geometry(observers)
-            for sat in const:
-                rows = self.ephemeris.find_passes_multi(
-                    sat.propagator, observers, epoch, horizon_s,
-                    coarse_step_s=self.coarse_step_s,
-                    min_elevation_deg=min_elevation_deg,
-                    refine_tol_s=self.refine_tol_s, refine=self.refine,
-                    geometry=geometry)
                 for windows, acc in zip(rows, per_observer):
                     acc.extend(windows)
         for acc in per_observer:

@@ -149,10 +149,11 @@ class TestPassBitIdentity:
         epoch = sat.tle.epoch
         cache = EphemerisCache()
         observers = EDGE_OBSERVERS[:3]
-        rows = cache.find_passes_multi(sat.propagator, observers, epoch,
-                                       6 * 3600.0, coarse_step_s=60.0,
+        rows = cache.find_passes_fleet([sat.propagator], observers,
+                                       epoch, 6 * 3600.0,
+                                       coarse_step_s=60.0,
                                        min_elevation_deg=10.0,
-                                       refine="interp")
+                                       refine="interp")[0]
         misses = cache.stats.pass_misses
         for observer, windows in zip(observers, rows):
             serial = cache.find_passes(sat.propagator, observer, epoch,

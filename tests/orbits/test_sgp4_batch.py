@@ -21,11 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satiot.constellations.catalog import build_constellation
-from satiot.orbits import (SGP4, GeodeticPoint, SGP4Batch,
-                           batching_enabled, find_passes_fleet)
+from satiot.orbits import SGP4, GeodeticPoint, SGP4Batch, find_passes_fleet
 from satiot.orbits.passes import PassPredictor, find_passes_multi
 from satiot.orbits.sgp4 import DecayedError
-from satiot.orbits.sgp4_batch import BATCH_ENV
 from satiot.orbits.tle import TLE
 
 from ..conftest import make_test_tle
@@ -226,6 +224,64 @@ class TestPropagateBitIdentity:
         assert np.array_equal(v_s[1], v[1])
 
 
+class TestPropagatePairs:
+    """The gather kernel behind lockstep crossing refinement."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(element_strategy, min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=99),
+                              st.floats(min_value=-3600.0,
+                                        max_value=2 * 86400.0)),
+                    min_size=1, max_size=40))
+    def test_pairs_equal_scalar(self, elements, pairs):
+        """Repeated, unsorted rows: row k == the scalar call."""
+        props = _build_fleet(elements)
+        batch = SGP4Batch.from_propagators(props)
+        rows = [i % len(props) for i, _ in pairs]
+        tsince = [t for _, t in pairs]
+        r, v = batch.propagate_pairs(rows, tsince)
+        assert r.shape == v.shape == (len(pairs), 3)
+        for k, (row, t) in enumerate(zip(rows, tsince)):
+            r_s, v_s = props[row].propagate(t)
+            assert np.array_equal(r[k], r_s)
+            assert np.array_equal(v[k], v_s)
+
+    def test_mixed_isimp_pairs(self):
+        props = [SGP4(make_test_tle(altitude_km=850.0, norad_id=1)),
+                 SGP4(make_test_tle(altitude_km=205.0, norad_id=2))]
+        assert {p.isimp for p in props} == {0, 1}
+        batch = SGP4Batch.from_propagators(props)
+        rows = np.array([1, 0, 1, 1, 0, 0, 1])
+        tsince = np.linspace(-600.0, 7200.0, rows.size)[::-1]
+        r, v = batch.propagate_pairs(rows, tsince)
+        for k, row in enumerate(rows):
+            r_s, v_s = props[row].propagate(tsince[k])
+            assert np.array_equal(r[k], r_s)
+            assert np.array_equal(v[k], v_s)
+
+    def test_decayed_pair_names_its_satellite(self):
+        healthy = make_test_tle(altitude_km=850.0, norad_id=101)
+        doomed = dataclasses.replace(
+            make_test_tle(altitude_km=170.0, norad_id=102),
+            bstar=5.0e-3)
+        batch = SGP4Batch([healthy, doomed])
+        late = 400 * 3600.0
+        with pytest.raises(DecayedError, match="satellite 102 "):
+            batch.propagate_pairs([0, 1, 0], [0.0, late, late])
+        # The healthy satellite alone propagates fine at that instant.
+        r, _ = batch.propagate_pairs([0], [late])
+        assert np.all(np.isfinite(r))
+
+    def test_validation_and_empty(self):
+        batch = SGP4Batch([make_test_tle()])
+        r, v = batch.propagate_pairs([], [])
+        assert r.shape == v.shape == (0, 3)
+        with pytest.raises(ValueError):
+            batch.propagate_pairs([0, 0], [1.0])
+        with pytest.raises(IndexError):
+            batch.propagate_pairs([1], [1.0])
+
+
 class TestFleetPassSearch:
     OBSERVERS = [
         GeodeticPoint(22.3, 114.2, 0.0),
@@ -317,17 +373,3 @@ class TestCoarseOffsetsRegression:
         assert offsets[-1] == duration or (
             duration - offsets[-1] <= 1.0e-9 * step)
         assert np.all(np.diff(offsets) > 0.0)
-
-
-class TestBatchingSwitch:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        assert batching_enabled()
-
-    @pytest.mark.parametrize("value,expected", [
-        ("0", False), ("false", False), ("OFF", False), ("no", False),
-        ("1", True), ("true", True), ("", True), ("anything", True),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(BATCH_ENV, value)
-        assert batching_enabled() is expected

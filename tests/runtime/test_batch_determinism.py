@@ -1,10 +1,13 @@
-"""Batching on/off determinism + constellation-grid key compatibility.
+"""Batched/unbatched determinism + constellation-grid key compatibility.
 
-The batched SGP4 path (``SATIOT_BATCH_SGP4``, default on) is a pure
-performance substitution: every consumer — campaign scheduler, fleet
-sweep, serving flush — must produce **byte-identical** output with the
-flag on or off.  These tests pin that contract, plus the cache-key
-compatibility that lets fleet fills satisfy single-satellite lookups.
+The fleet pass search refines the crossings of every pair it is given
+in lockstep.  A pair's windows must not depend on which other pairs
+share its search: every consumer — campaign scheduler, serving flush —
+must produce **byte-identical** output whether its pairs are searched
+together ("batching on") or one pair per search ("off", the
+per-satellite :meth:`EphemerisCache.find_passes` path).  These tests
+pin that contract, plus the cache-key compatibility that lets fleet
+fills satisfy single-satellite lookups.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import numpy as np
 import pytest
 
 from satiot.constellations.catalog import build_constellation
-from satiot.core.campaign import PassiveCampaign, PassiveCampaignConfig
-from satiot.orbits.sgp4_batch import BATCH_ENV, batching_enabled
+from satiot.core.campaign import (PassiveCampaign, PassiveCampaignConfig,
+                                  _campaign_inputs)
+from satiot.core.sites import SITES
 from satiot.runtime.ephemeris_cache import EphemerisCache
 from satiot.serving.service import (ConstellationService, PassesRequest,
                                     PresenceRequest)
@@ -27,24 +31,38 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 CFG = dict(sites=("HK",), constellations=("tianqi",), days=0.5, seed=7)
 
 
-def _run_campaign(monkeypatch, batch: str):
-    monkeypatch.setenv(BATCH_ENV, batch)
-    # Fresh memory cache per run: a shared cache would serve run B the
-    # pass lists computed by run A and mask the code path under test.
-    return PassiveCampaign(PassiveCampaignConfig(**CFG), workers=1,
-                           ephemeris_cache="memory").run()
+def _run_campaign(batch: bool):
+    """One campaign on a fresh cache.  Unbatched, the cache is first
+    filled one (satellite, site) search at a time, so the campaign's
+    fleet search only reads those per-pair windows back."""
+    cache = EphemerisCache()
+    config = PassiveCampaignConfig(**CFG)
+    _, satellites, epoch = _campaign_inputs(config)
+    if not batch:
+        for code in CFG["sites"]:
+            for sat in satellites:
+                cache.find_passes(
+                    sat.propagator, SITES[code].location, epoch,
+                    config.duration_s, coarse_step_s=config.coarse_step_s,
+                    min_elevation_deg=config.min_elevation_deg)
+    misses = cache.stats.pass_misses
+    result = PassiveCampaign(config, workers=1,
+                             ephemeris_cache=cache).run()
+    searched = cache.stats.pass_misses - misses
+    assert searched == (len(satellites) if batch else 0)
+    return result
 
 
 class TestCampaignBatchingDeterminism:
-    def test_campaign_columns_identical_on_off(self, monkeypatch):
-        batched = _run_campaign(monkeypatch, "1")
-        unbatched = _run_campaign(monkeypatch, "0")
+    def test_campaign_columns_identical_on_off(self):
+        batched = _run_campaign(True)
+        unbatched = _run_campaign(False)
         assert batched.total_traces == unbatched.total_traces > 0
         assert_columns_bit_identical(batched.dataset, unbatched.dataset)
 
-    def test_schedules_identical_on_off(self, monkeypatch):
-        batched = _run_campaign(monkeypatch, "1")
-        unbatched = _run_campaign(monkeypatch, "0")
+    def test_schedules_identical_on_off(self):
+        batched = _run_campaign(True)
+        unbatched = _run_campaign(False)
         for code in CFG["sites"]:
             sched_a = batched.site_results[code].schedule
             sched_b = unbatched.site_results[code].schedule
@@ -64,28 +82,31 @@ def _observer_params():
             {"lat": 64.1, "lon": -21.9}]
 
 
+def _serve(handler: str, requests, batch: bool):
+    """Answer requests as one micro-batch (a fleet flush over every
+    observer) or one request per batch (the lone-observer path)."""
+    service = ConstellationService(coarse_step_s=60.0,
+                                   refine="bisect")
+    answer = getattr(service, handler)
+    if batch:
+        return answer(requests)
+    return [answer([request])[0] for request in requests]
+
+
 class TestServingBatchingDeterminism:
-    def test_passes_payloads_identical_on_off(self, monkeypatch):
+    def test_passes_payloads_identical_on_off(self):
         requests = [PassesRequest.from_params(
             {**p, "horizon_s": 6 * 3600.0}) for p in _observer_params()]
-        monkeypatch.setenv(BATCH_ENV, "1")
-        on = ConstellationService(coarse_step_s=60.0).passes_batch(
-            requests)
-        monkeypatch.setenv(BATCH_ENV, "0")
-        off = ConstellationService(coarse_step_s=60.0).passes_batch(
-            requests)
+        on = _serve("passes_batch", requests, batch=True)
+        off = _serve("passes_batch", requests, batch=False)
         assert on == off
         assert any(p["count"] > 0 for p in on)
 
-    def test_presence_payloads_identical_on_off(self, monkeypatch):
+    def test_presence_payloads_identical_on_off(self):
         requests = [PresenceRequest.from_params(
             {**p, "horizon_s": 6 * 3600.0}) for p in _observer_params()]
-        monkeypatch.setenv(BATCH_ENV, "1")
-        on = ConstellationService(coarse_step_s=60.0).presence_batch(
-            requests)
-        monkeypatch.setenv(BATCH_ENV, "0")
-        off = ConstellationService(coarse_step_s=60.0).presence_batch(
-            requests)
+        on = _serve("presence_batch", requests, batch=True)
+        off = _serve("presence_batch", requests, batch=False)
         assert on == off
 
 
@@ -165,15 +186,3 @@ class TestConstellationGridKeyCompat:
                     min_elevation_deg=10.0)
                 assert list(per[n][m]) == list(ref)
 
-
-class TestBatchingFlag:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        assert batching_enabled() is True
-
-    def test_disable_spellings(self, monkeypatch):
-        for value in ("0", "false", "off", "no"):
-            monkeypatch.setenv(BATCH_ENV, value)
-            assert batching_enabled() is False
-        monkeypatch.setenv(BATCH_ENV, "1")
-        assert batching_enabled() is True
