@@ -11,6 +11,7 @@ carrying satellite reaches a ground station.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -155,6 +156,14 @@ class GroundSegment:
         self._windows: Dict[int, List[Tuple[float, float]]] = {
             sat.norad_id: sorted(acc)
             for sat, acc in zip(satellites, spans)}
+        # Windows of different stations overlap, so the window starting
+        # just before an instant need not be the one still open then:
+        # keep the starts and the running maximum of the ends.
+        self._starts = {norad: [start for start, _ in windows]
+                        for norad, windows in self._windows.items()}
+        self._reach = {norad: list(itertools.accumulate(
+            (end for _, end in windows), max))
+            for norad, windows in self._windows.items()}
 
     # ------------------------------------------------------------------
     def offload_windows(self, norad_id: int) -> List[Tuple[float, float]]:
@@ -163,18 +172,18 @@ class GroundSegment:
     def next_offload_s(self, norad_id: int,
                        stored_s: float) -> Optional[float]:
         """Instant the satellite can next start downlinking the packet."""
-        spans = self._windows.get(norad_id)
-        if spans is None:
+        starts = self._starts.get(norad_id)
+        if starts is None:
             raise KeyError(f"satellite {norad_id} not in ground segment")
-        starts = [s for s, _ in spans]
         i = bisect.bisect_left(starts, stored_s)
-        # A window already in progress also works if enough of it remains.
-        if i > 0:
-            start, end = spans[i - 1]
-            if stored_s < end - self.downlink_setup_s:
-                return stored_s
-        if i < len(spans):
-            return spans[i][0]
+        # A window already in progress also works if enough of it
+        # remains; the latest-ending one started before ``stored_s``
+        # decides.
+        if i > 0 and stored_s < self._reach[norad_id][i - 1] \
+                - self.downlink_setup_s:
+            return stored_s
+        if i < len(starts):
+            return starts[i]
         return None
 
     def delivery_time_s(self, norad_id: int,
@@ -195,9 +204,10 @@ class GroundSegment:
         return arrival
 
     def mean_gap_hours(self, norad_id: int) -> float:
-        """Mean gap between successive offload opportunities (diagnostic)."""
-        spans = self._windows[norad_id]
-        if len(spans) < 2:
+        """Mean gap between successive merged offload windows (diagnostic)."""
+        starts, reach = self._starts[norad_id], self._reach[norad_id]
+        gaps = [start - end for start, end in zip(starts[1:], reach)
+                if start > end]
+        if not gaps:
             return float("inf")
-        gaps = [spans[i + 1][0] - spans[i][1] for i in range(len(spans) - 1)]
         return sum(gaps) / len(gaps) / 3600.0

@@ -1,11 +1,15 @@
 """Tests for satellite buffers and the operator ground segment."""
 
+import math
+
 import pytest
 
 from satiot.constellations.catalog import build_constellation
+from satiot.network import store_forward
 from satiot.network.store_forward import (TIANQI_GROUND_STATIONS,
                                           BufferedPacket, GroundSegment,
                                           SatelliteBuffer)
+from satiot.orbits.passes import ContactWindow
 
 
 def make_packet(node="n1", seq=0, stored=100.0):
@@ -114,3 +118,47 @@ class TestGroundSegment:
             GroundSegment(con, epoch, 0.0)
         with pytest.raises(ValueError):
             GroundSegment(con, epoch, 86400.0, stations=())
+
+
+def _segment_with_windows(monkeypatch, windows_by_station):
+    """A ground segment whose first satellite has the given offload
+    windows, one list per station (the pass search is stubbed)."""
+    con = build_constellation("tianqi")
+    stations = TIANQI_GROUND_STATIONS[:len(windows_by_station)]
+
+    def search(propagators, observers, epoch, duration_s, **kwargs):
+        rows = [[[] for _ in observers] for _ in propagators]
+        rows[0] = [[ContactWindow(rise, set_, 0.5 * (rise + set_), 30.0)
+                    for rise, set_ in spans]
+                   for spans in windows_by_station]
+        return rows
+
+    monkeypatch.setattr(store_forward, "find_passes_fleet", search)
+    segment = GroundSegment(con, con.satellites[0].tle.epoch, 86400.0,
+                            stations=stations, downlink_setup_s=30.0)
+    return segment, con.satellites[0].norad_id
+
+
+class TestOverlappingWindows:
+    def test_open_window_of_an_earlier_station_is_used(self, monkeypatch):
+        """Station A's long window contains station B's short one; a
+        packet stored after B's window closed still offloads via A."""
+        seg, norad = _segment_with_windows(
+            monkeypatch, [[(100.0, 1000.0)], [(200.0, 400.0)]])
+        assert seg.offload_windows(norad) == [(100.0, 1000.0),
+                                              (200.0, 400.0)]
+        assert seg.next_offload_s(norad, 50.0) == 100.0
+        assert seg.next_offload_s(norad, 300.0) == 300.0
+        assert seg.next_offload_s(norad, 500.0) == 500.0
+        # Less than the downlink set-up time left in every window.
+        assert seg.next_offload_s(norad, 980.0) is None
+
+    def test_mean_gap_over_merged_windows(self, monkeypatch):
+        seg, norad = _segment_with_windows(
+            monkeypatch, [[(0.0, 100.0), (500.0, 600.0)], [(50.0, 300.0)]])
+        # Merged: [0, 300] and [500, 600] — one 200 s gap, no negative
+        # "gap" between the overlapping windows.
+        assert seg.mean_gap_hours(norad) == pytest.approx(200.0 / 3600.0)
+        seg, norad = _segment_with_windows(
+            monkeypatch, [[(100.0, 1000.0)], [(200.0, 400.0)]])
+        assert math.isinf(seg.mean_gap_hours(norad))
