@@ -47,8 +47,8 @@ from .topocentric import (LookAngles, elevation_from_ecef, look_angles,
                           sez_rotation)
 
 __all__ = ["ContactWindow", "PassPredictor", "REFINE_MODES",
-           "find_passes_multi", "find_passes_fleet",
-           "observer_geometry"]
+           "check_elevation_mask", "find_passes_multi",
+           "find_passes_fleet", "observer_geometry"]
 
 #: Supported horizon-crossing refinement modes.
 REFINE_MODES = ("bisect", "interp")
@@ -61,6 +61,15 @@ _PREFILTER_RADIUS_KM = 6300.0
 #: geocentric zenith deviation (< 0.2 deg), observer altitude and
 #: floating-point noise can never exclude a truly-visible sample.
 _PREFILTER_SLACK_DEG = 3.0
+
+
+def check_elevation_mask(min_elevation_deg: float) -> None:
+    """Raise ``ValueError`` unless ``-5 <= min_elevation_deg < 90``: the
+    masks every pass search takes (the prefilter's -90 deg filler must
+    stay below the mask)."""
+    if not -5.0 <= min_elevation_deg < 90.0:
+        raise ValueError("min_elevation_deg must be in [-5, 90), got "
+                         f"{min_elevation_deg:g}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +133,7 @@ class PassPredictor:
     def __init__(self, propagator: SGP4, observer: GeodeticPoint,
                  min_elevation_deg: float = 0.0,
                  grid_provider=None) -> None:
-        if min_elevation_deg < -5.0 or min_elevation_deg >= 90.0:
-            raise ValueError("unreasonable elevation mask")
+        check_elevation_mask(min_elevation_deg)
         self.propagator = propagator
         self.observer = observer
         self.min_elevation_deg = min_elevation_deg
@@ -183,11 +191,10 @@ class PassPredictor:
         offsets = self.coarse_offsets(duration_s, coarse_step_s)
         if self.grid_provider is not None:
             r, v = self.grid_provider(epoch, offsets)
+            elev = look_angles(self.observer, r, v,
+                               epoch.offset_jd(offsets)).elevation_deg
         else:
-            r, v = self.propagator.propagate(
-                float(epoch - self.propagator.tle.epoch) + offsets)
-        elev = look_angles(self.observer, r, v,
-                           epoch.offset_jd(offsets)).elevation_deg
+            elev = self.look_angles_at(epoch, offsets).elevation_deg
         return self.windows_from_coarse(epoch, offsets, elev,
                                         refine_tol_s=refine_tol_s,
                                         refine=refine)
@@ -277,6 +284,7 @@ class _PassSearch:
                  min_elevation_deg: float, refine_tol_s: float,
                  refine: str, batch: Optional[SGP4Batch] = None,
                  geometry: Optional[Sequence[tuple]] = None) -> None:
+        check_elevation_mask(min_elevation_deg)
         if refine not in REFINE_MODES:
             raise ValueError(f"unknown refine mode {refine!r}; "
                              f"choose from {REFINE_MODES}")
@@ -310,41 +318,33 @@ class _PassSearch:
         observers[pair_obs[k]])`` from the ``(N, T, 3)`` ECEF grid track
         (row ``n`` belongs to ``propagators[n]``).
 
-        When observers share satellites, a visibility-cone prefilter
-        skips the exact elevation kernel where a satellite is provably
-        below the mask; the -90 deg filler there changes no window.
+        A visibility-cone prefilter skips the exact elevation kernel
+        where a satellite is provably below the mask; the -90 deg filler
+        there changes no window.
         """
         pair_sat = np.asarray(pair_sat, dtype=np.intp)
         pair_obs = np.asarray(pair_obs, dtype=np.intp)
         sites, rots = self._site_arrays()
-        shared = len(pair_sat) > len(r_ecef)
-        if shared:
-            u_sat, cos_lam = _visibility_cone(r_ecef, self.mask)
-            u_obs = sites / np.sqrt(np.sum(sites * sites, axis=-1,
-                                           keepdims=True))
+        u_sat, cos_lam = _visibility_cone(r_ecef, self.mask)
+        u_obs = sites / np.sqrt(np.sum(sites * sites, axis=-1,
+                                       keepdims=True))
         block = max(1, self._BLOCK_ELEMENTS // self.offsets.size)
         for b in range(0, len(pair_sat), block):
             sat = pair_sat[b:b + block]
             obs = pair_obs[b:b + block]
-            if not shared:
-                elev = elevation_from_ecef(None, r_ecef[sat],
-                                           sites[obs, None],
-                                           rots[obs, None])
-            else:
-                cos_psi = np.einsum("pc,ptc->pt", u_obs[obs], u_sat[sat])
-                cand = cos_psi >= cos_lam[sat]
-                # Dilate by one grid step each way so crossing
-                # refinement always sees exact below-mask neighbours
-                # (copy first: in-place |= on overlapping views would
-                # cascade).
-                dilated = cand.copy()
-                dilated[:, :-1] |= cand[:, 1:]
-                dilated[:, 1:] |= cand[:, :-1]
-                rows, cols = np.nonzero(dilated)
-                elev = np.full(cand.shape, -90.0)
-                elev[rows, cols] = elevation_from_ecef(
-                    None, r_ecef[sat[rows], cols], sites[obs[rows]],
-                    rots[obs[rows]])
+            cos_psi = np.einsum("pc,ptc->pt", u_obs[obs], u_sat[sat])
+            cand = cos_psi >= cos_lam[sat]
+            # Dilate by one grid step each way so crossing refinement
+            # always sees exact below-mask neighbours (copy first:
+            # in-place |= on overlapping views would cascade).
+            dilated = cand.copy()
+            dilated[:, :-1] |= cand[:, 1:]
+            dilated[:, 1:] |= cand[:, :-1]
+            rows, cols = np.nonzero(dilated)
+            elev = np.full(cand.shape, -90.0)
+            elev[rows, cols] = elevation_from_ecef(
+                None, r_ecef[sat[rows], cols], sites[obs[rows]],
+                rots[obs[rows]])
             self.add_segments(elev, sat, obs)
 
     def add_segments(self, elev: np.ndarray, pair_sat: np.ndarray,

@@ -39,7 +39,8 @@ from ..core.stats import merge_intervals, total_length
 from ..econ.providers import ProviderSpec, get_provider, provider_names
 from ..orbits.doppler import doppler_shift_hz
 from ..orbits.frames import GeodeticPoint
-from ..orbits.passes import ContactWindow, observer_geometry
+from ..orbits.passes import (ContactWindow, check_elevation_mask,
+                             observer_geometry)
 from ..orbits.timebase import Epoch
 from ..orbits.topocentric import ecef_states, look_angles_from_ecef
 from ..phy.link_budget import LinkBudget
@@ -169,8 +170,7 @@ class PassesRequest(_ObserverRequest):
         if not 0.0 < kwargs["horizon_s"] <= MAX_HORIZON_S:
             raise ValueError(
                 f"horizon_s must be in (0, {MAX_HORIZON_S:.0f}]")
-        if not -10.0 <= kwargs["min_elevation_deg"] < 90.0:
-            raise ValueError("min_elevation_deg must be in [-10, 90)")
+        check_elevation_mask(kwargs["min_elevation_deg"])
         if kwargs["max_passes"] < 0:
             raise ValueError("max_passes must be non-negative")
         kwargs["start_s"], mode = _resolve_start(
@@ -212,8 +212,7 @@ class PresenceRequest(_ObserverRequest):
         if not 0.0 < kwargs["horizon_s"] <= MAX_HORIZON_S:
             raise ValueError(
                 f"horizon_s must be in (0, {MAX_HORIZON_S:.0f}]")
-        if not -10.0 <= kwargs["min_elevation_deg"] < 90.0:
-            raise ValueError("min_elevation_deg must be in [-10, 90)")
+        check_elevation_mask(kwargs["min_elevation_deg"])
         kwargs["start_s"], _ = _resolve_start(
             params, kwargs["constellation"], clock, epochs,
             kwargs["horizon_s"], allow_next=False)
@@ -364,8 +363,7 @@ class CompareRequest:
         if not 0.0 < kwargs["horizon_s"] <= MAX_HORIZON_S:
             raise ValueError(
                 f"horizon_s must be in (0, {MAX_HORIZON_S:.0f}]")
-        if not -10.0 <= kwargs["min_elevation_deg"] < 90.0:
-            raise ValueError("min_elevation_deg must be in [-10, 90)")
+        check_elevation_mask(kwargs["min_elevation_deg"])
         if not 0.0 < kwargs["packets_per_day"] <= 86400.0:
             raise ValueError("packets_per_day must be in (0, 86400]")
         if not 1 <= kwargs["payload_bytes"] <= 1024:

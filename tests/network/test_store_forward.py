@@ -8,7 +8,9 @@ from satiot.constellations.catalog import build_constellation
 from satiot.network import store_forward
 from satiot.network.store_forward import (TIANQI_GROUND_STATIONS,
                                           BufferedPacket, GroundSegment,
+                                          OperatorGroundStation,
                                           SatelliteBuffer)
+from satiot.orbits.frames import GeodeticPoint
 from satiot.orbits.passes import ContactWindow
 
 
@@ -118,6 +120,16 @@ class TestGroundSegment:
             GroundSegment(con, epoch, 0.0)
         with pytest.raises(ValueError):
             GroundSegment(con, epoch, 86400.0, stations=())
+
+    @pytest.mark.parametrize("mask", [95.0, -8.0])
+    def test_station_mask_out_of_range(self, mask):
+        con = build_constellation("fossa")
+        stations = (TIANQI_GROUND_STATIONS[0],
+                    OperatorGroundStation("Bad", GeodeticPoint(30.0, 100.0),
+                                          min_elevation_deg=mask))
+        with pytest.raises(ValueError, match="min_elevation_deg"):
+            GroundSegment(con, con.satellites[0].tle.epoch, 3600.0,
+                          stations=stations)
 
 
 def _segment_with_windows(monkeypatch, windows_by_station):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from satiot.orbits.frames import GeodeticPoint
-from satiot.orbits.passes import ContactWindow, PassPredictor
+from satiot.orbits.passes import (ContactWindow, PassPredictor,
+                                  find_passes_fleet, find_passes_multi)
 from satiot.orbits.sgp4 import SGP4
+from satiot.runtime.ephemeris_cache import EphemerisCache
 
 from tests.conftest import make_test_tle
 
@@ -113,3 +115,49 @@ class TestFindPasses:
 
     def test_norad_id_propagated(self, day_windows):
         assert all(w.norad_id == 44001 for w in day_windows)
+
+
+class TestElevationMaskRange:
+    """Every pass search refuses the masks PassPredictor refuses, so a
+    query's outcome cannot depend on which search answers it."""
+
+    SITES = [GeodeticPoint(22.30, 114.17), GeodeticPoint(69.6, 18.9)]
+
+    @staticmethod
+    def fleet():
+        return [SGP4(make_test_tle()),
+                SGP4(make_test_tle(norad_id=44002, raan_deg=200.0))]
+
+    @pytest.mark.parametrize("mask", [95.0, 90.0, -8.0, -100.0,
+                                      float("nan")])
+    def test_every_search_rejects(self, mask):
+        sats = self.fleet()
+        epoch = sats[0].tle.epoch
+        cache = EphemerisCache()
+        searches = [
+            lambda: PassPredictor(sats[0], self.SITES[0], mask),
+            lambda: find_passes_fleet(sats, self.SITES, epoch, 3600.0,
+                                      min_elevation_deg=mask),
+            lambda: find_passes_fleet(sats, self.SITES[:1], epoch,
+                                      3600.0, min_elevation_deg=mask),
+            lambda: find_passes_fleet(sats[:1], self.SITES[:1], epoch,
+                                      3600.0, min_elevation_deg=mask,
+                                      refine="interp"),
+            lambda: find_passes_multi(sats[0], self.SITES, epoch,
+                                      3600.0, min_elevation_deg=mask),
+            lambda: cache.find_passes(sats[0], self.SITES[0], epoch,
+                                      3600.0, min_elevation_deg=mask),
+            lambda: cache.find_passes_fleet(sats, self.SITES, epoch,
+                                            3600.0,
+                                            min_elevation_deg=mask),
+        ]
+        for search in searches:
+            with pytest.raises(ValueError, match="min_elevation_deg"):
+                search()
+
+    @pytest.mark.parametrize("mask", [-5.0, 89.9])
+    def test_range_bounds_accepted(self, mask):
+        sats = self.fleet()
+        result = find_passes_fleet(sats, self.SITES, sats[0].tle.epoch,
+                                   3600.0, min_elevation_deg=mask)
+        assert len(result) == 2 and all(len(r) == 2 for r in result)

@@ -211,6 +211,26 @@ class TestBatching:
         assert batched == 8
         assert batches < 8  # at least some coalescing happened
 
+    def test_bad_mask_same_status_alone_and_coalesced(self):
+        bad = {**HK, "horizon_s": 3600, "min_elevation_deg": -8}
+
+        async def scenario(server):
+            port = server.bound_port
+            alone = await request(port, "/v1/passes", body=bad)
+            coalesced = await asyncio.gather(
+                request(port, "/v1/passes", body=bad),
+                request(port, "/v1/passes",
+                        body={"lat": 40.0, "lon": 116.4,
+                              "horizon_s": 3600}))
+            return alone, coalesced
+
+        config = fast_config(window_s=0.05)
+        alone, (bad_status, good_status) = run(
+            with_server(config, scenario))
+        assert alone[0] == bad_status[0] == 400
+        assert "min_elevation_deg" in alone[2]["error"]
+        assert good_status[0] == 200
+
     def test_unbatched_mode_still_serves(self):
         async def scenario(server):
             port = server.bound_port

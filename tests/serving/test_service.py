@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from satiot.serving import (ConstellationService, LinkBudgetRequest,
-                            PassesRequest, PresenceRequest)
+from satiot.serving import (CompareRequest, ConstellationService,
+                            LinkBudgetRequest, PassesRequest,
+                            PresenceRequest)
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -41,6 +42,20 @@ class TestRequestValidation:
         params.update(overrides)
         with pytest.raises(ValueError):
             PassesRequest.from_params(params)
+
+    @pytest.mark.parametrize("mask", [-8.0, -5.01, 90.0, "nan"])
+    def test_pass_endpoints_take_only_search_masks(self, mask):
+        # A mask the pass search refuses is a 400 at parse time, never
+        # a failed micro-batch that would take its batch-mates along.
+        for request_type in (PassesRequest, PresenceRequest,
+                             CompareRequest):
+            with pytest.raises(ValueError, match="min_elevation_deg"):
+                request_type.from_params({**HK,
+                                          "min_elevation_deg": mask})
+        # The link budget filters elevations itself: no pass search.
+        request = LinkBudgetRequest.from_params(
+            {**HK, "min_elevation_deg": -8.0})
+        assert request.min_elevation_deg == -8.0
 
     def test_link_budget_validation(self):
         with pytest.raises(ValueError):
@@ -111,6 +126,17 @@ class TestPasses:
             [3600.0, 7200.0, 3600.0]
         assert [r["site"]["latitude_deg"] for r in results] == \
             [22.3, -33.9, 51.5]
+
+    def test_bad_mask_fails_alone_and_coalesced(self, service):
+        # Below the parser: the lone-observer and fleet searches refuse
+        # the same mask, so the outcome never depends on batch-mates.
+        alone = [PassesRequest(22.3, 114.2, horizon_s=3600.0,
+                               min_elevation_deg=-8.0)]
+        coalesced = alone + [PassesRequest(40.0, 116.4, horizon_s=3600.0,
+                                           min_elevation_deg=-8.0)]
+        for batch in (alone, coalesced):
+            with pytest.raises(ValueError, match="min_elevation_deg"):
+                service.passes_batch(batch)
 
 
 class TestPresence:
