@@ -15,10 +15,18 @@ constellation):
   ``SGP4Batch`` / ``find_passes_fleet``; per-shell pass statistics are
   reduced from the result.
 
+* **disk** — the same sweep through an
+  :class:`~satiot.runtime.EphemerisCache` writing a fresh segment
+  directory (cold), then through a second cache over that directory
+  (warm).
+
 Asserted contract, checked in the timed run: a sampled subset of
 satellites (spread across all five shells) produces windows **equal
 field-for-field** to per-satellite ``PassPredictor.find_passes`` — the
-catalog path inherits the batch layer's bit-identity guarantee.
+catalog path inherits the batch layer's bit-identity guarantee.  The
+cold and warm disk sweeps return windows equal to the in-memory sweep,
+and a fill writes as many files for the whole fleet as for one
+satellite (one segment).  Disk timings are reported, not asserted.
 
 Metrics land in ``benchmarks/output/catalog_sweep.json`` (CI artifact)
 next to the human-readable table.  ``--smoke`` shortens the horizon
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional
@@ -37,6 +46,7 @@ from satiot.catalog import (TleDb, fleet_passes, select_fleet,
                             shell_groups)
 from satiot.orbits.frames import GeodeticPoint
 from satiot.orbits.passes import PassPredictor
+from satiot.runtime.ephemeris_cache import EphemerisCache
 
 from conftest import write_json, write_output
 
@@ -96,6 +106,40 @@ def _shell_stats(selection, observers, results) -> List[dict]:
     return rows
 
 
+def _disk_phase(selection, observers, duration_s: float,
+                coarse_step_s: float, reference) -> dict:
+    """Sweep through a fresh segment directory, then re-read it."""
+    def sweep(cache, propagators=None):
+        start = time.perf_counter()
+        results = cache.find_passes_fleet(
+            selection.propagators if propagators is None
+            else propagators, observers, selection.epoch, duration_s,
+            coarse_step_s=coarse_step_s,
+            min_elevation_deg=MIN_ELEVATION_DEG, refine="interp")
+        return results, time.perf_counter() - start
+
+    with tempfile.TemporaryDirectory(prefix="satiot-catalog-") as tmp:
+        fleet_dir = Path(tmp) / "fleet"
+        cold, cold_s = sweep(EphemerisCache(disk_dir=fleet_dir))
+        fleet_files = sorted(fleet_dir.iterdir())
+        warm, warm_s = sweep(EphemerisCache(disk_dir=fleet_dir))
+        one_dir = Path(tmp) / "one"
+        sweep(EphemerisCache(disk_dir=one_dir),
+              selection.propagators[:1])
+        one_files = sorted(one_dir.iterdir())
+        disk_bytes = sum(path.stat().st_size for path in fleet_files)
+    assert cold == reference, "cold disk sweep diverged from memory"
+    assert warm == reference, "warm disk sweep diverged from memory"
+    assert len(fleet_files) == len(one_files), (
+        f"a {len(selection.propagators)}-satellite fill wrote "
+        f"{len(fleet_files)} files, a 1-satellite fill "
+        f"{len(one_files)}")
+    return {"cold_s": round(cold_s, 6), "warm_s": round(warm_s, 6),
+            "files_per_fill": len(fleet_files),
+            "files_per_fill_one_satellite": len(one_files),
+            "bytes": disk_bytes}
+
+
 def run_benchmark(smoke: bool) -> dict:
     duration_s = (2.0 if smoke else 24.0) * 3600.0
     coarse_step_s = 60.0
@@ -125,6 +169,8 @@ def run_benchmark(smoke: bool) -> dict:
                                         results)
     shells = _shell_stats(selection, observers, results)
     total_windows = sum(row["windows"] for row in shells)
+    disk = _disk_phase(selection, observers, duration_s, coarse_step_s,
+                       results)
 
     payload = {
         "benchmark": "catalog_sweep",
@@ -143,6 +189,7 @@ def run_benchmark(smoke: bool) -> dict:
         "windows": total_windows,
         "identity_checks": verified,
         "shells": shells,
+        "disk": disk,
     }
     write_json("catalog_sweep", payload)
 
@@ -162,6 +209,12 @@ def run_benchmark(smoke: bool) -> dict:
     lines.append(f"  bit-identity: {verified} sampled "
                  f"(satellite, observer) pass lists equal the "
                  f"per-satellite scalar path")
+    lines.append(f"  disk tier: cold {disk['cold_s']:6.2f} s   warm "
+                 f"{disk['warm_s']:6.2f} s   "
+                 f"{disk['files_per_fill']} files "
+                 f"({disk['bytes'] / 2**20:.1f} MiB) per fill, "
+                 f"{disk['files_per_fill_one_satellite']} for one "
+                 f"satellite; windows equal the memory sweep")
     write_output("catalog_sweep", "\n".join(lines))
     return payload
 

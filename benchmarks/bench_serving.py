@@ -358,10 +358,11 @@ def run_fleet_benchmark(smoke: bool,
             fleet.wait_ready()
             probes[workers] = asyncio.run(
                 _probe(port, horizon_s, seed + 7))
-            # Fresh per-level coordinates: the disk tier is shared
-            # across levels by design (that's the zero-copy story), so
-            # reusing seeds would let later levels serve straight from
-            # the on-disk pass cache and flatter their throughput.
+            # Fresh per-level coordinates: the segment tier is shared
+            # across levels by design (that's the zero-copy story), but
+            # pass lists are per-process memory only — every level
+            # answers unseen observers, so each request is a real pass
+            # search over the mapped grid, comparable across levels.
             level = _run_fleet_level(port, clients, total_requests,
                                      horizon_s, seed + 7919 * workers)
             metrics = fleet.fleet_metrics()

@@ -44,9 +44,10 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 #: Disk-backed ephemeris cache shared by every benchmark invocation (and
-#: restored between CI runs via actions/cache) — warm runs skip all SGP4
-#: propagation and pass refinement.  Override the location with
-#: SATIOT_EPHEMERIS_CACHE_DIR; disable with SATIOT_EPHEMERIS_CACHE=0.
+#: restored between CI runs via actions/cache) — warm runs map the
+#: coarse SGP4 grids from its segments instead of propagating them.
+#: Override the location with SATIOT_EPHEMERIS_CACHE_DIR; disable with
+#: SATIOT_EPHEMERIS_CACHE=0.
 CACHE_DIR = Path(os.environ.get("SATIOT_EPHEMERIS_CACHE_DIR")
                  or Path(__file__).parent / ".ephemeris-cache")
 

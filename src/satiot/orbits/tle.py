@@ -8,9 +8,11 @@ format between the constellation generator and the SGP4 propagator.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, List, Tuple
 
 
@@ -150,6 +152,20 @@ class TLE:
     def period_minutes(self) -> float:
         return MINUTES_PER_DAY / self.mean_motion_rev_day
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable 16-hex-digit fingerprint of the element set.
+
+        SHA-256 over the two formatted lines (the name is not part of
+        them), so it is invariant under a parse → format → parse
+        round trip.  Computed on first use and kept on the instance:
+        the dataclass is frozen but has no slots, so
+        ``cached_property`` can store it.
+        """
+        line1, line2 = format_tle(self)
+        digest = hashlib.sha256(f"{line1}\n{line2}".encode("ascii"))
+        return digest.hexdigest()[:16]
+
     def with_name(self, name: str) -> "TLE":
         return replace(self, name=name)
 
@@ -244,7 +260,7 @@ def format_tle(tle: TLE) -> Tuple[str, str]:
     # The field has no integer digits, so |ndot| must round below 1; a
     # magnitude that rounds to zero loses its sign (parsing the zero
     # field yields +0.0, so writing '-' would break the parse → format
-    # fixed point the fingerprint cache relies on).
+    # fixed point the fingerprint relies on).
     ndot_body = f"{abs(tle.ndot):.8f}"
     if not ndot_body.startswith("0."):
         raise TLEError(f"ndot out of representable range: {tle.ndot}")

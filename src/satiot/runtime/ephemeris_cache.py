@@ -8,40 +8,39 @@ module removes that redundancy with two memoized products:
 
 * **propagation grids** — the ``(r, v)`` TEME state sampled on the
   coarse time grid, keyed by ``(TLE fingerprint, epoch, grid shape)``
-  and shared across *all* sites of a campaign;
+  and shared across *all* sites of a campaign.  A whole-fleet
+  **constellation grid** stacks them as ``(N, T, 3)`` arrays, and each
+  of its rows is published as a view under the satellite's own key;
 * **pass predictions** — the refined :class:`ContactWindow` list of one
   satellite over one observer, keyed by ``(TLE fingerprint, epoch,
   duration, step, elevation mask, quantized location, refine
   tolerance)`` and shared across repeated campaign and benchmark
   invocations.
 
-Both live in an in-memory LRU tier; an optional on-disk ``.npz`` tier
-(shared between worker processes and across benchmark runs) can be
-enabled with ``disk_dir=`` or the ``SATIOT_EPHEMERIS_CACHE_DIR``
-environment variable.  Cache lookups are exact — keys incorporate every
-input that influences the cached value — so a hit returns arrays that
-are bit-identical to a fresh computation, preserving the runtime's
-determinism contract.
+Cache lookups are exact — keys incorporate every input that influences
+the cached value — so a hit returns arrays that are bit-identical to a
+fresh computation, preserving the runtime's determinism contract.
 
-Whole-fleet **constellation grids** get a third representation: a
-*segment* — the ``(N, T, 3)`` position/velocity stacks written once as
-raw ``.npy`` files (plus a SHA-256 sidecar) with a deterministic
-layout.  Unlike ``.npz`` entries (zip archives, which must be
-decompressed into private memory), segments are opened with
-``np.load(mmap_mode="r")``: every process that loads the same segment
-maps the *same* physical pages, so N serving workers share one
-resident copy of the fleet ephemeris instead of holding N private
-copies.  ``readonly=True`` (the default; disable with
-``SATIOT_EPHEMERIS_MMAP=0``) hands these mmap-backed read-only views
-directly to consumers — zero copies on the serving hot path.
+Both products live in an in-memory LRU tier.  Grids — and only grids —
+also have an on-disk tier, enabled with ``disk_dir=`` or the
+``SATIOT_EPHEMERIS_CACHE_DIR`` environment variable: every grid is
+written once as a *segment*, the ``(N, T, 3)`` position/velocity stacks
+as raw ``.npy`` files plus a SHA-256 sidecar, in a deterministic layout
+(a single satellite's grid is an N=1 segment).  Segments are opened
+with ``np.load(mmap_mode="r")``: every process that loads the same
+segment maps the *same* physical pages, so N serving workers share one
+read-only resident copy of the fleet ephemeris instead of holding N
+private copies.  Pass lists are not written to disk: recomputing them
+from a mapped segment is faster than reading them back.  Files of
+other formats in the directory are ignored.
 
-The disk tier is **checksummed and self-healing**: every ``.npz`` entry
-carries a SHA-256 digest of its arrays, and a corrupted, truncated or
-otherwise unreadable entry is detected on load, quarantined next to the
-store (``<entry>.npz.bad``) and treated as a cache miss — the value is
-recomputed and rewritten.  Disk-tier I/O errors (read-only or vanished
-cache directories, full disks) are counted, warned about once, and
-degrade the cache to compute-through, never to wrong answers.  The
+The segment tier is **checksummed and self-healing**: a corrupted,
+truncated or otherwise unreadable segment is detected on load,
+quarantined next to the store (every file of it renamed to
+``*.bad``) and treated as a cache miss — the grid is recomputed and
+rewritten.  Disk-tier I/O errors (read-only or vanished cache
+directories, full disks) are counted, warned about once, and degrade
+the cache to compute-through, never to wrong answers.  The
 :mod:`satiot.faults` plane exercises exactly these paths via the
 ``cache.disk_read`` / ``cache.disk_write`` injection sites.
 
@@ -55,7 +54,6 @@ import os
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -67,7 +65,7 @@ from ..orbits.passes import ContactWindow, PassPredictor, _PassSearch
 from ..orbits.sgp4 import SGP4
 from ..orbits.sgp4_batch import SGP4Batch
 from ..orbits.timebase import Epoch
-from ..orbits.tle import TLE, format_tle
+from ..orbits.tle import TLE
 
 __all__ = ["CacheStats", "EphemerisCache", "get_default_cache",
            "reset_default_cache", "tle_fingerprint",
@@ -77,27 +75,18 @@ __all__ = ["CacheStats", "EphemerisCache", "get_default_cache",
 CACHE_ENV = "SATIOT_EPHEMERIS_CACHE"
 #: Directory for the shared on-disk tier of the process-default cache.
 CACHE_DIR_ENV = "SATIOT_EPHEMERIS_CACHE_DIR"
-#: Set to 0/false/off to materialize constellation-grid segments into
-#: private memory instead of serving mmap-backed read-only views.
-MMAP_ENV = "SATIOT_EPHEMERIS_MMAP"
-
-_PASS_FIELDS = ("rise_s", "set_s", "culmination_s", "max_elevation_deg",
-                "norad_id", "clipped_start", "clipped_end")
 
 
-@lru_cache(maxsize=4096)
 def tle_fingerprint(tle: TLE) -> str:
     """Stable 16-hex-digit fingerprint of an element set.
 
     Computed over the *formatted* two-line representation, so the
     fingerprint is invariant under a parse → format → parse round-trip
     (the canonical form is a fixed-point function of the orbital
-    fields).  Memoized: the serving layer fingerprints the same element
-    sets on every cache lookup of every request.
+    fields).  The TLE computes it once and keeps it
+    (:attr:`TLE.fingerprint`).
     """
-    line1, line2 = format_tle(tle)
-    digest = hashlib.sha256(f"{line1}\n{line2}".encode("ascii"))
-    return digest.hexdigest()[:16]
+    return tle.fingerprint
 
 
 def constellation_fingerprint(tles: Sequence[TLE]) -> str:
@@ -132,8 +121,8 @@ class CacheStats:
     pass_misses: int = 0
     disk_hits: int = 0
     disk_writes: int = 0
-    #: Corrupt/unreadable disk entries quarantined (``*.bad``) and
-    #: treated as misses.
+    #: Corrupt/unreadable segments quarantined (``*.bad``) and treated
+    #: as misses.
     disk_corrupt: int = 0
     #: Disk-tier I/O errors swallowed (read-only dir, full disk, ...).
     disk_errors: int = 0
@@ -171,7 +160,7 @@ class CacheStats:
 
 
 class EphemerisCache:
-    """Two-tier (memory LRU + optional disk) ephemeris memoizer.
+    """Ephemeris memoizer: memory LRUs plus an optional segment tier.
 
     Parameters
     ----------
@@ -183,30 +172,19 @@ class EphemerisCache:
         In-memory LRU capacity for per-(satellite, site) pass lists;
         these are tiny (a few windows each).
     disk_dir:
-        Optional directory for the shared ``.npz`` tier.  Created on
+        Optional directory for the shared segment tier.  Created on
         demand; safe to share between concurrent worker processes
-        (writes go through a per-pid temp file + atomic rename).
-    readonly:
-        When True (the default; ``SATIOT_EPHEMERIS_MMAP=0`` flips it),
-        constellation-grid segments are served as mmap-backed
-        *read-only* views straight off the disk tier — no
-        materializing copy, one resident copy shared across every
-        process that maps the same segment.  Pass False when callers
-        need private writable arrays.
+        (writes go through per-pid temp files + atomic rename).
+        Segments load as read-only memmaps.
     """
 
     def __init__(self, max_grids: int = 256, max_pass_lists: int = 4096,
-                 disk_dir: Union[str, Path, None] = None,
-                 readonly: Optional[bool] = None) -> None:
+                 disk_dir: Union[str, Path, None] = None) -> None:
         if max_grids < 1 or max_pass_lists < 1:
             raise ValueError("cache capacities must be positive")
         self.max_grids = int(max_grids)
         self.max_pass_lists = int(max_pass_lists)
         self.disk_dir = Path(disk_dir) if disk_dir else None
-        if readonly is None:
-            readonly = os.environ.get(MMAP_ENV, "1").strip().lower() \
-                not in ("0", "false", "off", "no")
-        self.readonly = bool(readonly)
         self.stats = CacheStats()
         self._warned_disk = False
         self._grids: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" \
@@ -221,27 +199,32 @@ class EphemerisCache:
     # Keys
     # ------------------------------------------------------------------
     @staticmethod
-    def grid_key(tle: TLE, epoch: Epoch,
-                 offsets: np.ndarray) -> tuple:
+    def _grid_id(epoch: Epoch, offsets: np.ndarray) -> tuple:
+        """The (epoch, offsets) part shared by every grid key."""
         offsets = np.ascontiguousarray(offsets, dtype=float)
         content = hashlib.sha1(offsets.tobytes()).hexdigest()[:16]
-        return ("grid", tle_fingerprint(tle), round(float(epoch.jd), 9),
-                int(offsets.size), content)
+        return (round(float(epoch.jd), 9), int(offsets.size), content)
 
-    @staticmethod
-    def constellation_key(tles: Sequence[TLE], epoch: Epoch,
+    @classmethod
+    def grid_key(cls, tle: TLE, epoch: Epoch,
+                 offsets: np.ndarray) -> tuple:
+        """Memory key of one satellite's ``(T, 3)`` grid."""
+        return ("grid", tle_fingerprint(tle)) + cls._grid_id(epoch,
+                                                             offsets)
+
+    @classmethod
+    def constellation_key(cls, tles: Sequence[TLE], epoch: Epoch,
                           offsets: np.ndarray) -> tuple:
         """Key of one whole-fleet ``(N, T, 3)`` propagation stack.
 
         Mirrors :meth:`grid_key` (same epoch rounding and offsets
         digest) with the joint fleet fingerprint, so the constellation
         entry and its per-satellite row entries always agree on the
-        grid they describe.
+        grid they describe.  Segments are stored under this key — for
+        a single satellite too, as an N=1 stack.
         """
-        offsets = np.ascontiguousarray(offsets, dtype=float)
-        content = hashlib.sha1(offsets.tobytes()).hexdigest()[:16]
-        return ("cgrid", constellation_fingerprint(tles),
-                round(float(epoch.jd), 9), int(offsets.size), content)
+        return ("cgrid", constellation_fingerprint(tles)) + \
+            cls._grid_id(epoch, offsets)
 
     @staticmethod
     def pass_key(tle: TLE, observer: GeodeticPoint, epoch: Epoch,
@@ -264,7 +247,9 @@ class EphemerisCache:
         """TEME ``(r, v)`` of ``propagator`` at ``epoch + offsets_s``.
 
         Bit-identical to ``propagator.propagate(...)`` on the same
-        instants; hits skip the SGP4 evaluation entirely.
+        instants; hits skip the SGP4 evaluation entirely.  On disk the
+        grid is the N=1 segment that ``constellation_grid([propagator],
+        ...)`` reads and writes, so either call finds the other's file.
         """
         offsets = np.asarray(offsets_s, dtype=float)
         key = self.grid_key(propagator.tle, epoch, offsets)
@@ -272,20 +257,23 @@ class EphemerisCache:
         if cached is not None:
             self.stats.grid_hits += 1
             return cached
-        disk = self._disk_load_grid(key)
-        if disk is not None:
+        segment_key = self.constellation_key([propagator.tle], epoch,
+                                             offsets)
+        segment = self._segment_load(segment_key)
+        if segment is not None:
             self.stats.grid_hits += 1
             self.stats.disk_hits += 1
-            self._lru_put(self._grids, key, disk, self.max_grids)
-            return disk
-        self.stats.grid_misses += 1
-        tsince = float(epoch - propagator.tle.epoch) + offsets
-        r, v = propagator.propagate(tsince)
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        self._lru_put(self._grids, key, (r, v), self.max_grids)
-        self._disk_store(key, {"r": r, "v": v})
-        return r, v
+            grid = (segment[0][0], segment[1][0])
+        else:
+            self.stats.grid_misses += 1
+            tsince = float(epoch - propagator.tle.epoch) + offsets
+            r, v = propagator.propagate(tsince)
+            grid = (np.asarray(r, dtype=float),
+                    np.asarray(v, dtype=float))
+            self._segment_store(segment_key, grid[0][np.newaxis],
+                                grid[1][np.newaxis])
+        self._lru_put(self._grids, key, grid, self.max_grids)
+        return grid
 
     def grid_provider(self, propagator: SGP4,
                       ) -> Callable[[Epoch, np.ndarray],
@@ -309,14 +297,11 @@ class EphemerisCache:
         stack is cached under the constellation key **and** every row
         is published as a view under the corresponding single-satellite
         :meth:`grid_key` — so later single-satellite lookups hit the
-        fleet fill, and previously cached single-satellite grids are
-        adopted into the stack instead of being re-propagated.  Rows
-        actually propagated here are written to the disk tier (as
-        ordinary single-satellite entries), and the whole stack is
-        written **once** as an mmap-able segment: with
-        ``readonly=True`` every later load (in this or any other
-        process) returns read-only views into one shared mapping
-        instead of a private copy.
+        fleet fill.  A fill adopts rows already in the memory tier
+        instead of re-propagating them, and writes the whole stack
+        **once** as an mmap-able segment: every later load (in this or
+        any other process) returns read-only views into one shared
+        mapping instead of a private copy.
         """
         offsets = np.asarray(offsets_s, dtype=float)
         propagators = list(propagators)
@@ -327,61 +312,50 @@ class EphemerisCache:
             self.stats.grid_hits += 1
             self._record_extent(tles, epoch, offsets)
             return cached
+        row_keys = [self.grid_key(t, epoch, offsets) for t in tles]
         segment = self._segment_load(ckey)
         if segment is not None:
-            r, v = segment
             self.stats.grid_hits += 1
             self.stats.disk_hits += 1
-            sat_keys = [self.grid_key(t, epoch, offsets) for t in tles]
-            for i, key in enumerate(sat_keys):
-                self._lru_put(self._grids, key, (r[i], v[i]),
-                              self.max_grids)
-            self._lru_put(self._grids, ckey, (r, v), self.max_grids)
-            self._record_extent(tles, epoch, offsets)
-            return r, v
-        extended = self._extend_from_prefix(propagators, tles, ckey,
-                                            epoch, offsets)
-        if extended is not None:
-            self._record_extent(tles, epoch, offsets)
-            return extended
+            r, v = segment
+        else:
+            grid = self._extend_from_prefix(propagators, tles, epoch,
+                                            offsets)
+            if grid is None:
+                grid = self._fill(propagators, row_keys, epoch, offsets)
+            r, v = grid
+            self._segment_store(ckey, r, v)
+        # Row views share the stack's memory: the grid tier holds one
+        # (N, T, 3) buffer, not N+1 copies (grid_resident_bytes counts
+        # the base buffer once).
+        for i, key in enumerate(row_keys):
+            self._lru_put(self._grids, key, (r[i], v[i]), self.max_grids)
+        self._lru_put(self._grids, ckey, (r, v), self.max_grids)
+        self._record_extent(tles, epoch, offsets)
+        return r, v
 
+    def _fill(self, propagators: Sequence[SGP4], row_keys: Sequence[tuple],
+              epoch: Epoch, offsets: np.ndarray,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Assemble a fleet stack: rows found in the memory tier are
+        adopted, the rest are propagated in one batch."""
         n = len(propagators)
-        sat_keys = [self.grid_key(t, epoch, offsets) for t in tles]
         r = np.empty((n, offsets.size, 3), dtype=float)
         v = np.empty((n, offsets.size, 3), dtype=float)
         missing: List[int] = []
-        for i, key in enumerate(sat_keys):
+        for i, key in enumerate(row_keys):
             hit = self._lru_get(self._grids, key)
             if hit is None:
-                disk = self._disk_load_grid(key)
-                if disk is not None:
-                    self.stats.disk_hits += 1
-                    hit = disk
-            if hit is not None:
-                self.stats.grid_hits += 1
-                r[i], v[i] = hit
-            else:
                 missing.append(i)
+            else:
+                r[i], v[i] = hit
+        self.stats.grid_hits += n - len(missing)
         if missing:
             self.stats.grid_misses += len(missing)
             batch = SGP4Batch.from_propagators(
                 [propagators[i] for i in missing])
-            r_new, v_new = batch.propagate_offsets(epoch, offsets)
-            for j, i in enumerate(missing):
-                r[i] = r_new[j]
-                v[i] = v_new[j]
-        missing_set = frozenset(missing)
-        for i, key in enumerate(sat_keys):
-            # Row views share the stack's memory: the grid tier holds
-            # one (N, T, 3) buffer, not N+1 copies (grid_resident_bytes
-            # counts the base buffer once).
-            self._lru_put(self._grids, key, (r[i], v[i]),
-                          self.max_grids)
-            if i in missing_set:
-                self._disk_store(key, {"r": r[i], "v": v[i]})
-        self._segment_store(ckey, r, v)
-        self._lru_put(self._grids, ckey, (r, v), self.max_grids)
-        self._record_extent(tles, epoch, offsets)
+            r[missing], v[missing] = batch.propagate_offsets(epoch,
+                                                             offsets)
         return r, v
 
     # ------------------------------------------------------------------
@@ -406,8 +380,8 @@ class EphemerisCache:
                       np.array(offsets, dtype=float), self.max_grids)
 
     def _extend_from_prefix(self, propagators: Sequence[SGP4],
-                            tles: Sequence[TLE], ckey: tuple,
-                            epoch: Epoch, offsets: np.ndarray,
+                            tles: Sequence[TLE], epoch: Epoch,
+                            offsets: np.ndarray,
                             ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Serve ``offsets`` by extending the recorded prefix grid.
 
@@ -416,10 +390,10 @@ class EphemerisCache:
         reachable (memory LRU or mmap'd segment).  Only the suffix
         instants are propagated; SGP4 is memoryless in ``tsince``, so
         the concatenated stack is bit-identical to a cold full-range
-        propagation (property-tested in tests/twin).  The combined
-        stack is republished under the full key — including a new
-        segment, which is how a restarted fleet worker re-attaches to
-        grids its siblings extended.  The ``twin.extend`` fault site
+        propagation (property-tested in tests/twin).  The caller
+        republishes the combined stack under the full key — including a
+        new segment, which is how a restarted fleet worker re-attaches
+        to grids its siblings extended.  The ``twin.extend`` fault site
         abandons the fast path (full recompute; output unchanged).
         """
         if fault_fires("twin.extend"):
@@ -444,19 +418,12 @@ class EphemerisCache:
             return None
         batch = SGP4Batch.from_propagators(propagators)
         r_suf, v_suf = batch.propagate_offsets(epoch, offsets[t:])
-        # concatenate materializes a fresh private C-contiguous stack —
-        # an mmap'd prefix is copied out, never written through.
-        r = np.concatenate([r_prev, r_suf], axis=1)
-        v = np.concatenate([v_prev, v_suf], axis=1)
         self.stats.grid_misses += 1
         self.stats.grid_extensions += 1
-        for i, tle in enumerate(tles):
-            self._lru_put(self._grids,
-                          self.grid_key(tle, epoch, offsets),
-                          (r[i], v[i]), self.max_grids)
-        self._segment_store(ckey, r, v)
-        self._lru_put(self._grids, ckey, (r, v), self.max_grids)
-        return r, v
+        # concatenate materializes a fresh private C-contiguous stack —
+        # an mmap'd prefix is copied out, never written through.
+        return (np.concatenate([r_prev, r_suf], axis=1),
+                np.concatenate([v_prev, v_suf], axis=1))
 
     def extend_constellation_grid(self, propagators: Sequence[SGP4],
                                   epoch: Epoch,
@@ -500,7 +467,7 @@ class EphemerisCache:
         return provider
 
     # ------------------------------------------------------------------
-    # Pass predictions
+    # Pass predictions (memory tier only)
     # ------------------------------------------------------------------
     def find_passes(self, propagator: SGP4, observer: GeodeticPoint,
                     epoch: Epoch, duration_s: float,
@@ -523,7 +490,7 @@ class EphemerisCache:
         windows = tuple(predictor.find_passes(
             epoch, duration_s, coarse_step_s=coarse_step_s,
             refine_tol_s=refine_tol_s, refine=refine))
-        self._store_passes(key, windows)
+        self._lru_put(self._pass_lists, key, windows, self.max_pass_lists)
         return list(windows)
 
     def find_passes_fleet(self, propagators: Sequence[SGP4],
@@ -591,32 +558,18 @@ class EphemerisCache:
                              [m for _, m in pairs])
             for (row, m), windows in zip(pairs, search.windows()):
                 i = miss_sats[row]
-                self._store_passes(keys[i][m], tuple(windows))
+                self._lru_put(self._pass_lists, keys[i][m],
+                              tuple(windows), self.max_pass_lists)
                 results[i][m] = windows
         return results  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------
     def _lookup_passes(self, key: tuple,
                        ) -> Optional[Tuple[ContactWindow, ...]]:
-        """Memory-then-disk lookup of one pass list (stats updated)."""
+        """Memory lookup of one pass list (stats updated)."""
         cached = self._lru_get(self._pass_lists, key)
         if cached is not None:
             self.stats.pass_hits += 1
-            return cached
-        disk = self._disk_load_passes(key)
-        if disk is not None:
-            self.stats.pass_hits += 1
-            self.stats.disk_hits += 1
-            self._lru_put(self._pass_lists, key, disk,
-                          self.max_pass_lists)
-            return disk
-        return None
-
-    def _store_passes(self, key: tuple,
-                      windows: Tuple[ContactWindow, ...]) -> None:
-        self._lru_put(self._pass_lists, key, windows,
-                      self.max_pass_lists)
-        self._disk_store(key, self._passes_to_arrays(windows))
+        return cached
 
     # ------------------------------------------------------------------
     # Memory LRU tier
@@ -655,11 +608,15 @@ class EphemerisCache:
         are resident **once machine-wide**, no matter how many worker
         processes map them, while :attr:`CacheStats.grid_private_bytes`
         is paid per process.  Refreshes :attr:`CacheStats.grid_bytes`.
+
+        Safe to call from another thread while a batch fills the LRU
+        (the serving ``/metrics`` path): it walks a snapshot of the
+        entries taken in one call, never the live ``OrderedDict``.
         """
         seen = set()
         private = 0
         shared = 0
-        for r, v in self._grids.values():
+        for r, v in tuple(self._grids.values()):
             for arr in (r, v):
                 base = arr
                 while isinstance(base.base, np.ndarray):
@@ -677,139 +634,13 @@ class EphemerisCache:
         return private + shared
 
     # ------------------------------------------------------------------
-    # Disk tier (checksummed, quarantining, fault-aware)
+    # Segment tier (checksummed, mmap'd, quarantining, fault-aware)
     # ------------------------------------------------------------------
-    #: Reserved entry name carrying the SHA-256 digest of every array.
-    CHECKSUM_KEY = "__satiot_checksum__"
-
-    def _disk_path(self, key: tuple) -> Optional[Path]:
-        if self.disk_dir is None:
-            return None
-        name = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
-        return self.disk_dir / f"{key[0]}-{name}.npz"
-
-    @staticmethod
-    def _arrays_checksum(arrays: dict) -> str:
-        """SHA-256 over every array's name, dtype, shape and bytes.
-
-        Hashes through a flat memoryview rather than ``tobytes()`` so
-        verifying a large mmap'd segment never materializes a private
-        copy of it (the pages stream through the OS page cache).
-        """
-        digest = hashlib.sha256()
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
-            digest.update(name.encode("utf-8"))
-            digest.update(str(arr.dtype).encode("ascii"))
-            digest.update(str(arr.shape).encode("ascii"))
-            digest.update(memoryview(arr).cast("B"))
-        return digest.hexdigest()
-
-    def _disk_degraded(self, error: BaseException) -> None:
-        """Count (and warn once about) a swallowed disk-tier error."""
-        self.stats.disk_errors += 1
-        if not self._warned_disk:
-            self._warned_disk = True
-            warnings.warn(
-                f"ephemeris disk cache at {self.disk_dir} is "
-                f"unavailable ({type(error).__name__}: {error}); "
-                f"degrading to compute-through", RuntimeWarning,
-                stacklevel=4)
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside (``*.bad``) and count it."""
-        try:
-            path.replace(path.with_name(path.name + ".bad"))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass  # can't even remove it: the miss still recomputes
-        self.stats.disk_corrupt += 1
-        warnings.warn(
-            f"quarantined corrupt ephemeris cache entry {path.name} "
-            f"({reason}); recomputing", RuntimeWarning, stacklevel=4)
-
-    @staticmethod
-    def _corrupt_file(path: Path) -> None:
-        """``cache.disk_read`` fault action: garble the entry on disk.
-
-        The injected fault damages *real* state so the detection path
-        (checksum verify → quarantine → miss) is exercised end to end.
-        """
-        try:
-            if not path.exists():
-                return
-            size = path.stat().st_size
-            with path.open("r+b") as fh:
-                fh.truncate(max(0, size // 2))
-                fh.seek(0)
-                fh.write(b"\x00satiot-chaos\x00")
-        except OSError:
-            pass
-
-    def _disk_store(self, key: tuple, arrays: dict) -> None:
-        path = self._disk_path(key)
-        if path is None:
-            return
-        payload = dict(arrays)
-        payload[self.CHECKSUM_KEY] = np.array(
-            self._arrays_checksum(arrays))
-        try:
-            if fault_fires("cache.disk_write"):
-                raise OSError("injected fault at site 'cache.disk_write'")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            with tmp.open("wb") as fh:
-                np.savez(fh, **payload)
-            tmp.replace(path)
-            self.stats.disk_writes += 1
-        except OSError as error:
-            self._disk_degraded(error)  # degradation, never an error
-
-    def _disk_load(self, key: tuple) -> Optional[dict]:
-        path = self._disk_path(key)
-        if path is None:
-            return None
-        if fault_fires("cache.disk_read"):
-            self._corrupt_file(path)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path) as data:
-                # NpzFile already decompresses each member into a fresh
-                # array; wrapping it in np.array() again would double
-                # the copy for every disk hit.
-                arrays = {name: data[name] for name in data.files}
-        except Exception:
-            # Truncated zip, zero-byte file, garbage bytes, OS error:
-            # anything unreadable is quarantined and recomputed.
-            self._quarantine(path, "unreadable entry")
-            return None
-        stored = arrays.pop(self.CHECKSUM_KEY, None)
-        if stored is None:
-            self._quarantine(path, "missing checksum")
-            return None
-        if str(stored[()]) != self._arrays_checksum(arrays):
-            self._quarantine(path, "checksum mismatch")
-            return None
-        return arrays
-
-    def _disk_load_grid(self, key: tuple,
-                        ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        data = self._disk_load(key)
-        if data is None or "r" not in data or "v" not in data:
-            return None
-        return data["r"], data["v"]
-
-    # ------------------------------------------------------------------
-    # Segment tier (mmap-able whole-fleet grids)
-    # ------------------------------------------------------------------
-    #: On-disk layout of one constellation-grid segment: two raw
-    #: ``.npy`` stacks plus a checksum sidecar.  Raw ``.npy`` (not
-    #: ``.npz``) is what makes ``np.load(mmap_mode="r")`` possible —
-    #: a zip archive has to be decompressed into private memory, a
-    #: flat array file can be mapped and its pages shared.
+    #: On-disk layout of one segment: two raw ``.npy`` stacks plus a
+    #: checksum sidecar.  Raw ``.npy`` (not a zip archive) is what makes
+    #: ``np.load(mmap_mode="r")`` possible — a zip member has to be
+    #: decompressed into private memory, a flat array file can be
+    #: mapped and its pages shared.
     SEGMENT_SUFFIXES = (".r.npy", ".v.npy", ".sha256")
 
     def _segment_paths(self, key: tuple) -> Optional[Tuple[Path, ...]]:
@@ -819,6 +650,23 @@ class EphemerisCache:
         base = f"{key[0]}-{name}"
         return tuple(self.disk_dir / (base + suffix)
                      for suffix in self.SEGMENT_SUFFIXES)
+
+    @staticmethod
+    def _checksum(r: np.ndarray, v: np.ndarray) -> str:
+        """SHA-256 over both stacks' names, dtypes, shapes and bytes.
+
+        Hashes through a flat memoryview rather than ``tobytes()`` so
+        verifying a large mmap'd segment never materializes a private
+        copy of it (the pages stream through the OS page cache).
+        """
+        digest = hashlib.sha256()
+        for name, arr in (("r", r), ("v", v)):
+            arr = np.ascontiguousarray(arr)
+            digest.update(name.encode("utf-8"))
+            digest.update(str(arr.dtype).encode("ascii"))
+            digest.update(str(arr.shape).encode("ascii"))
+            digest.update(memoryview(arr).cast("B"))
+        return digest.hexdigest()
 
     def _segment_store(self, key: tuple, r: np.ndarray,
                        v: np.ndarray) -> None:
@@ -834,7 +682,7 @@ class EphemerisCache:
             return
         r = np.ascontiguousarray(r, dtype=float)
         v = np.ascontiguousarray(v, dtype=float)
-        checksum = self._arrays_checksum({"r": r, "v": v})
+        checksum = self._checksum(r, v)
         try:
             if fault_fires("cache.disk_write"):
                 raise OSError("injected fault at site 'cache.disk_write'")
@@ -849,19 +697,17 @@ class EphemerisCache:
                 tmp.replace(path)
             self.stats.disk_writes += 1
         except OSError as error:
-            self._disk_degraded(error)
+            self._disk_degraded(error)  # degradation, never an error
 
     def _segment_load(self, key: tuple,
                       ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Load one segment; mmap-backed read-only views by default.
+        """Load one segment as read-only mmap-backed ``(N, T, 3)`` views.
 
-        With ``readonly=True`` the returned ``(N, T, 3)`` stacks are
-        ``np.memmap`` views (no copy; checksum verification streams
-        the pages through the OS cache, which is exactly the residency
-        the serving fleet shares).  With ``readonly=False`` they are
-        materialized into private writable arrays.  Corruption is
-        handled like the ``.npz`` tier: quarantine every segment file
-        as ``*.bad`` and treat the lookup as a miss.
+        No copy: checksum verification streams the pages through the
+        OS cache, which is exactly the residency the serving fleet
+        shares.  A missing segment is a plain miss; an unreadable or
+        mismatching one is quarantined (every file renamed to
+        ``*.bad``) and treated as a miss.
         """
         paths = self._segment_paths(key)
         if paths is None:
@@ -872,21 +718,32 @@ class EphemerisCache:
         if not all(p.exists() for p in paths):
             return None
         try:
-            mode = "r" if self.readonly else None
-            r = np.load(r_path, mmap_mode=mode)
-            v = np.load(v_path, mmap_mode=mode)
+            r = np.load(r_path, mmap_mode="r")
+            v = np.load(v_path, mmap_mode="r")
             expected = sum_path.read_text(encoding="ascii").strip()
         except Exception:
-            self._quarantine_segment(paths, "unreadable segment")
+            # Truncated header, zero-byte file, garbage bytes, OS error:
+            # anything unreadable is quarantined and recomputed.
+            self._quarantine(paths, "unreadable segment")
             return None
         if r.ndim != 3 or r.shape != v.shape or \
-                self._arrays_checksum({"r": r, "v": v}) != expected:
-            self._quarantine_segment(paths, "checksum mismatch")
+                self._checksum(r, v) != expected:
+            self._quarantine(paths, "checksum mismatch")
             return None
         return r, v
 
-    def _quarantine_segment(self, paths: Sequence[Path],
-                            reason: str) -> None:
+    def _disk_degraded(self, error: BaseException) -> None:
+        """Count (and warn once about) a swallowed disk-tier error."""
+        self.stats.disk_errors += 1
+        if not self._warned_disk:
+            self._warned_disk = True
+            warnings.warn(
+                f"ephemeris disk cache at {self.disk_dir} is "
+                f"unavailable ({type(error).__name__}: {error}); "
+                f"degrading to compute-through", RuntimeWarning,
+                stacklevel=4)
+
+    def _quarantine(self, paths: Sequence[Path], reason: str) -> None:
         """Move every file of a corrupt segment aside (one count)."""
         for path in paths:
             if not path.exists():
@@ -897,50 +754,32 @@ class EphemerisCache:
                 try:
                     path.unlink()
                 except OSError:
-                    pass
+                    pass  # can't even remove it: the miss still recomputes
         self.stats.disk_corrupt += 1
         warnings.warn(
             f"quarantined corrupt ephemeris segment "
             f"{paths[0].name} ({reason}); recomputing",
             RuntimeWarning, stacklevel=4)
 
-    def _disk_load_passes(self, key: tuple,
-                          ) -> Optional[Tuple[ContactWindow, ...]]:
-        data = self._disk_load(key)
-        if data is None or any(f not in data for f in _PASS_FIELDS):
-            return None
-        return self._passes_from_arrays(data)
-
     @staticmethod
-    def _passes_to_arrays(windows: Sequence[ContactWindow]) -> dict:
-        return {
-            "rise_s": np.array([w.rise_s for w in windows], float),
-            "set_s": np.array([w.set_s for w in windows], float),
-            "culmination_s": np.array(
-                [w.culmination_s for w in windows], float),
-            "max_elevation_deg": np.array(
-                [w.max_elevation_deg for w in windows], float),
-            "norad_id": np.array([w.norad_id for w in windows],
-                                 np.int64),
-            "clipped_start": np.array(
-                [w.clipped_start for w in windows], bool),
-            "clipped_end": np.array(
-                [w.clipped_end for w in windows], bool),
-        }
+    def _corrupt_file(path: Path) -> None:
+        """``cache.disk_read`` fault action: garble the file on disk.
 
-    @staticmethod
-    def _passes_from_arrays(data: dict) -> Tuple[ContactWindow, ...]:
-        n = int(data["rise_s"].size)
-        return tuple(
-            ContactWindow(
-                rise_s=float(data["rise_s"][i]),
-                set_s=float(data["set_s"][i]),
-                culmination_s=float(data["culmination_s"][i]),
-                max_elevation_deg=float(data["max_elevation_deg"][i]),
-                norad_id=int(data["norad_id"][i]),
-                clipped_start=bool(data["clipped_start"][i]),
-                clipped_end=bool(data["clipped_end"][i]))
-            for i in range(n))
+        The injected fault damages *real* state so the detection path
+        (checksum verify → quarantine → miss) is exercised end to end.
+        The garbled copy replaces the file by rename, never in place:
+        a mapping of the old contents — held by this or another
+        process — keeps its pages, where truncating a mapped file
+        would fault its next read.
+        """
+        try:
+            data = path.read_bytes()
+            tmp = path.with_name(f"{path.name}.chaos{os.getpid()}")
+            tmp.write_bytes(b"\x00satiot-chaos\x00"
+                            + data[14:len(data) // 2])
+            tmp.replace(path)
+        except OSError:
+            pass
 
 
 # ----------------------------------------------------------------------

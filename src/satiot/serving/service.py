@@ -75,13 +75,12 @@ def _get_int(params: dict, key: str, default: int) -> int:
 
 
 @dataclass(frozen=True)
-class _ObserverRequest:
-    """Common observer/constellation fields of all query shapes."""
+class _SiteRequest:
+    """The observer site every query shape carries."""
 
     latitude_deg: float
     longitude_deg: float
     altitude_km: float = 0.0
-    constellation: str = DEFAULT_CONSTELLATION
 
     def observer(self) -> GeodeticPoint:
         return GeodeticPoint(self.latitude_deg, self.longitude_deg,
@@ -93,27 +92,14 @@ class _ObserverRequest:
                 "altitude_km": self.altitude_km}
 
     @staticmethod
-    def _base_kwargs(params: dict,
-                     known: Optional[Sequence[str]] = None) -> dict:
-        constellation = str(params.get("constellation",
-                                       DEFAULT_CONSTELLATION)).lower()
-        # With ``known`` (the serving layer passes its loaded names,
-        # which may include catalog-built constellations), validate
-        # against what can actually be answered; without it, fall back
-        # to the built-in Table-3 specs.
-        valid = sorted(known) if known is not None \
-            else sorted(CONSTELLATION_SPECS)
-        if constellation not in valid:
-            raise ValueError(
-                f"unknown constellation {constellation!r}; choose from "
-                f"{valid}")
+    def _site_kwargs(params: dict) -> dict:
+        """Parse and range-check ``lat``, ``lon`` and ``alt_km``."""
         if "lat" not in params or "lon" not in params:
             raise ValueError("parameters 'lat' and 'lon' are required")
         kwargs = {
             "latitude_deg": _get_float(params, "lat", 0.0),
             "longitude_deg": _get_float(params, "lon", 0.0),
             "altitude_km": _get_float(params, "alt_km", 0.0),
-            "constellation": constellation,
         }
         if not -90.0 <= kwargs["latitude_deg"] <= 90.0:
             raise ValueError("lat must be within [-90, 90]")
@@ -127,6 +113,30 @@ class _ObserverRequest:
         return (quantize_coord(self.latitude_deg, decimals),
                 quantize_coord(self.longitude_deg, decimals),
                 quantize_coord(self.altitude_km, decimals))
+
+
+@dataclass(frozen=True)
+class _ObserverRequest(_SiteRequest):
+    """A site plus the loaded constellation the query is about."""
+
+    constellation: str = DEFAULT_CONSTELLATION
+
+    @classmethod
+    def _base_kwargs(cls, params: dict,
+                     known: Optional[Sequence[str]] = None) -> dict:
+        constellation = str(params.get("constellation",
+                                       DEFAULT_CONSTELLATION)).lower()
+        # With ``known`` (the serving layer passes its loaded names,
+        # which may include catalog-built constellations), validate
+        # against what can actually be answered; without it, fall back
+        # to the built-in Table-3 specs.
+        valid = sorted(known) if known is not None \
+            else sorted(CONSTELLATION_SPECS)
+        if constellation not in valid:
+            raise ValueError(
+                f"unknown constellation {constellation!r}; choose from "
+                f"{valid}")
+        return dict(cls._site_kwargs(params), constellation=constellation)
 
 
 def _resolve_start(params: dict, constellation: str,
@@ -284,36 +294,19 @@ class LinkBudgetRequest(_ObserverRequest):
 
 
 @dataclass(frozen=True)
-class CompareRequest:
+class CompareRequest(_SiteRequest):
     """``/v1/compare``: one deployment question, several providers.
 
     Not an :class:`_ObserverRequest` — the selector is a *provider*
     list (registry names), not a loaded constellation name.
     """
 
-    latitude_deg: float
-    longitude_deg: float
-    altitude_km: float = 0.0
     providers: Tuple[str, ...] = ()
     horizon_s: float = 86400.0
     min_elevation_deg: float = 10.0
     start_s: float = 0.0
     packets_per_day: float = 48.0
     payload_bytes: int = 20
-
-    def observer(self) -> GeodeticPoint:
-        return GeodeticPoint(self.latitude_deg, self.longitude_deg,
-                             self.altitude_km)
-
-    def site_dict(self) -> dict:
-        return {"latitude_deg": self.latitude_deg,
-                "longitude_deg": self.longitude_deg,
-                "altitude_km": self.altitude_km}
-
-    def _quantized_site(self, decimals: int) -> Tuple[float, float, float]:
-        return (quantize_coord(self.latitude_deg, decimals),
-                quantize_coord(self.longitude_deg, decimals),
-                quantize_coord(self.altitude_km, decimals))
 
     @classmethod
     def from_params(cls, params: dict,
@@ -340,20 +333,7 @@ class CompareRequest:
                 raise ValueError("providers list is empty")
         else:
             names = list(valid)
-        if "lat" not in params or "lon" not in params:
-            raise ValueError("parameters 'lat' and 'lon' are required")
-        kwargs = {
-            "latitude_deg": _get_float(params, "lat", 0.0),
-            "longitude_deg": _get_float(params, "lon", 0.0),
-            "altitude_km": _get_float(params, "alt_km", 0.0),
-            "providers": tuple(names),
-        }
-        if not -90.0 <= kwargs["latitude_deg"] <= 90.0:
-            raise ValueError("lat must be within [-90, 90]")
-        if not -180.0 <= kwargs["longitude_deg"] <= 180.0:
-            raise ValueError("lon must be within [-180, 180]")
-        if not -0.5 <= kwargs["altitude_km"] <= 50.0:
-            raise ValueError("alt_km must be within [-0.5, 50]")
+        kwargs = dict(cls._site_kwargs(params), providers=tuple(names))
         kwargs["horizon_s"] = _get_float(params, "horizon_s", 86400.0)
         kwargs["min_elevation_deg"] = _get_float(
             params, "min_elevation_deg", 10.0)

@@ -188,7 +188,7 @@ def _build_worker_service(config: ServingConfig, fleet: FleetConfig,
     from ..runtime.ephemeris_cache import EphemerisCache
     from .service import ConstellationService
 
-    ephemeris = EphemerisCache(disk_dir=ephemeris_dir, readonly=True)
+    ephemeris = EphemerisCache(disk_dir=ephemeris_dir)
     extra = []
     if fleet.catalog:
         from ..catalog import constellation_from_catalog

@@ -70,7 +70,7 @@ class TestCampaignSchedules:
             CFG, workers=1,
             ephemeris_cache=str(chaos_cache_dir)).run()
         assert_identical(warm.dataset, reference)
-        assert any(chaos_cache_dir.glob("*.npz"))
+        assert any(chaos_cache_dir.glob("*.npy"))
 
         from satiot.runtime.ephemeris_cache import reset_default_cache
         reset_default_cache()

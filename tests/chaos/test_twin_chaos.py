@@ -73,8 +73,7 @@ class TestCacheStorm:
             props, epoch, full)
 
         with armed(CACHE_STORM):
-            cache = EphemerisCache(disk_dir=chaos_cache_dir,
-                                   readonly=True)
+            cache = EphemerisCache(disk_dir=chaos_cache_dir)
             for t in (60, 120, 180):
                 r, v = cache.constellation_grid(props, epoch, full[:t])
                 assert r.shape == (len(props), t, 3)
@@ -106,8 +105,7 @@ class TestCacheStorm:
         epoch = props[0].tle.epoch
         full = np.arange(200, dtype=float) * 30.0
         with armed(CACHE_STORM):
-            cache = EphemerisCache(disk_dir=chaos_cache_dir,
-                                   readonly=True)
+            cache = EphemerisCache(disk_dir=chaos_cache_dir)
             for t in range(20, 201, 20):
                 cache.constellation_grid(props, epoch, full[:t])
         assert cache.stats.grid_extensions > 0

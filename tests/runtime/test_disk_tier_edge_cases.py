@@ -11,6 +11,7 @@ identical to a fresh computation.
 """
 
 import contextlib
+import hashlib
 import shutil
 import warnings
 
@@ -41,10 +42,10 @@ def fresh_grid(sat):
 
 
 def warm_entry(sat, disk_dir):
-    """Populate one grid entry on disk and return its path."""
+    """Populate one grid segment on disk and return its ``r`` stack."""
     writer = EphemerisCache(disk_dir=disk_dir)
     writer.propagation_grid(sat, sat.tle.epoch, OFFSETS)
-    paths = sorted(disk_dir.glob("grid-*.npz"))
+    paths = sorted(disk_dir.glob("cgrid-*.r.npy"))
     assert len(paths) == 1
     return paths[0]
 
@@ -67,7 +68,7 @@ class TestCorruptEntries:
 
     def test_garbage_bytes_quarantined(self, sat, tmp_path):
         path = warm_entry(sat, tmp_path)
-        path.write_bytes(b"\x00\xffdefinitely not a zip archive")
+        path.write_bytes(b"\x00\xffdefinitely not an npy array")
         cache = EphemerisCache(disk_dir=tmp_path)
         with pytest.warns(RuntimeWarning, match="unreadable"):
             cache.propagation_grid(sat, sat.tle.epoch, OFFSETS)
@@ -75,13 +76,10 @@ class TestCorruptEntries:
         assert list(tmp_path.glob("*.bad"))
 
     def test_checksum_mismatch_detected(self, sat, tmp_path):
-        """A readable archive whose arrays were silently altered."""
+        """A readable segment whose array was silently altered."""
         path = warm_entry(sat, tmp_path)
-        with np.load(path) as data:
-            arrays = {name: np.array(data[name])
-                      for name in data.files}
-        arrays["r"] = arrays["r"] + 1.0e-9  # one bit of rot
-        np.savez(path, **arrays)  # stale checksum rides along
+        r = np.load(path) + 1.0e-9  # one bit of rot
+        np.save(path, r)  # the stale checksum sidecar rides along
         cache = EphemerisCache(disk_dir=tmp_path)
         with pytest.warns(RuntimeWarning, match="checksum mismatch"):
             r, _ = cache.propagation_grid(sat, sat.tle.epoch, OFFSETS)
@@ -89,18 +87,23 @@ class TestCorruptEntries:
         assert cache.stats.disk_corrupt == 1
         assert cache.stats.disk_hits == 0
 
-    def test_legacy_entry_without_checksum_quarantined(self, sat,
-                                                       tmp_path):
-        path = warm_entry(sat, tmp_path)
-        with np.load(path) as data:
-            arrays = {name: np.array(data[name])
-                      for name in data.files
-                      if name != EphemerisCache.CHECKSUM_KEY}
-        np.savez(path, **arrays)
+    def test_legacy_npz_entry_is_ignored(self, sat, tmp_path):
+        """An entry of the old ``.npz`` format under the name it used
+        is neither read nor quarantined: the grid is recomputed and
+        written as a segment beside it."""
+        key = EphemerisCache.grid_key(sat.tle, sat.tle.epoch, OFFSETS)
+        name = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
+        legacy = tmp_path / f"grid-{name}.npz"
+        np.savez(legacy, r=np.zeros((OFFSETS.size, 3)),
+                 v=np.zeros((OFFSETS.size, 3)))
         cache = EphemerisCache(disk_dir=tmp_path)
-        with pytest.warns(RuntimeWarning, match="missing checksum"):
-            cache.propagation_grid(sat, sat.tle.epoch, OFFSETS)
-        assert cache.stats.disk_corrupt == 1
+        with _no_warning():
+            r, _ = cache.propagation_grid(sat, sat.tle.epoch, OFFSETS)
+        assert np.array_equal(r, fresh_grid(sat)[0])
+        assert cache.stats.grid_misses == 1
+        assert cache.stats.disk_corrupt == 0
+        assert legacy.exists()
+        assert len(list(tmp_path.glob("cgrid-*"))) == 3
 
     def test_quarantined_entry_is_rewritten_clean(self, sat, tmp_path):
         """After quarantine + recompute, the next reader hits disk."""
@@ -114,19 +117,21 @@ class TestCorruptEntries:
         assert reader.stats.disk_hits == 1
         assert reader.stats.disk_corrupt == 0
 
-    def test_corrupt_pass_entry_recomputed_identically(self, sat,
-                                                       tmp_path):
+    def test_pass_search_over_corrupt_segment(self, sat, tmp_path):
+        """Pass lists are not stored on disk; the grid segment a pass
+        search reads is, and rotting it changes no window."""
         writer = EphemerisCache(disk_dir=tmp_path)
         reference = writer.find_passes(sat, HK, sat.tle.epoch, DAY_S)
         assert reference == PassPredictor(sat, HK).find_passes(
             sat.tle.epoch, DAY_S)
-        for path in tmp_path.glob("passes-*.npz"):
+        assert not list(tmp_path.glob("*.npz"))
+        for path in tmp_path.glob("cgrid-*.npy"):
             path.write_bytes(b"rot")
         cache = EphemerisCache(disk_dir=tmp_path)
         with pytest.warns(RuntimeWarning):
             again = cache.find_passes(sat, HK, sat.tle.epoch, DAY_S)
         assert again == reference
-        assert cache.stats.disk_corrupt >= 1
+        assert cache.stats.disk_corrupt == 1
 
 
 class TestVanishingStore:
@@ -134,7 +139,7 @@ class TestVanishingStore:
         disk_dir = tmp_path / "tier"
         cache = EphemerisCache(disk_dir=disk_dir)
         cache.propagation_grid(sat, sat.tle.epoch, OFFSETS)
-        assert any(disk_dir.glob("*.npz"))
+        assert any(disk_dir.glob("*.npy"))
 
         shutil.rmtree(disk_dir)
         cache.clear_memory()
@@ -145,7 +150,7 @@ class TestVanishingStore:
         assert np.array_equal(r, r_ref) and np.array_equal(v, v_ref)
         assert cache.stats.disk_corrupt == 0
         assert cache.stats.disk_errors == 0
-        assert any(disk_dir.glob("*.npz"))
+        assert any(disk_dir.glob("*.npy"))
 
     def test_unwritable_store_degrades_with_one_warning(self, sat,
                                                         tmp_path):

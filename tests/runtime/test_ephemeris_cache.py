@@ -1,5 +1,9 @@
 """Tests for the two-tier ephemeris cache and its exactness contract."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -141,6 +145,45 @@ class TestPropagationGrid:
             EphemerisCache(max_grids=0)
 
 
+class TestConcurrentResidency:
+    def test_resident_bytes_while_another_thread_fills(self):
+        """The serving layer calls ``grid_resident_bytes`` (``/metrics``
+        and a fleet worker's ``metrics`` reply) on the event-loop thread
+        while the executor thread fills the grid LRU.  The walk must
+        never see the ``OrderedDict`` change size under it."""
+        sat = SGP4(make_test_tle())
+        cache = EphemerisCache(max_grids=64)
+        stop = threading.Event()
+        errors = []
+
+        def fill():
+            k = 0
+            while not stop.is_set():
+                cache.propagation_grid(sat, sat.tle.epoch, [float(k)])
+                k += 1
+
+        previous = sys.getswitchinterval()
+        # Switch threads as often as the interpreter allows, so a walk
+        # that is not atomic is interrupted within the time budget.
+        sys.setswitchinterval(1e-6)
+        filler = threading.Thread(target=fill, daemon=True)
+        filler.start()
+        try:
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and not errors:
+                try:
+                    cache.grid_resident_bytes()
+                except RuntimeError as error:
+                    errors.append(error)
+        finally:
+            stop.set()
+            filler.join(timeout=10.0)
+            sys.setswitchinterval(previous)
+        assert not filler.is_alive()
+        assert not errors, f"grid_resident_bytes raised {errors[0]!r}"
+        assert cache.stats.grid_misses > cache.max_grids
+
+
 class TestCachedPasses:
     def test_cached_passes_equal_fresh_predictor(self):
         tle = make_test_tle()
@@ -224,8 +267,8 @@ class TestDiskTier:
         offsets = np.arange(0.0, 300.0, 30.0)
         EphemerisCache(disk_dir=tmp_path).propagation_grid(
             sat, tle.epoch, offsets)
-        for path in tmp_path.glob("*.npz"):
-            path.write_bytes(b"not an npz archive")
+        for path in tmp_path.glob("*.npy"):
+            path.write_bytes(b"not an npy array")
         cache = EphemerisCache(disk_dir=tmp_path)
         r, v = cache.propagation_grid(sat, tle.epoch, offsets)
         assert cache.stats.grid_misses == 1

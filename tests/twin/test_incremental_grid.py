@@ -136,7 +136,7 @@ class TestSegmentTierExtension:
         props = make_fleet()
         epoch = props[0].tle.epoch
         full = np.arange(200, dtype=float) * 30.0
-        cache = EphemerisCache(disk_dir=tmp_path, readonly=True)
+        cache = EphemerisCache(disk_dir=tmp_path)
         cache.constellation_grid(props, epoch, full[:80])
         cache.clear_memory()
         got = cache.extend_constellation_grid(
@@ -152,10 +152,10 @@ class TestSegmentTierExtension:
         props = make_fleet()
         epoch = props[0].tle.epoch
         full = np.arange(150, dtype=float) * 60.0
-        first = EphemerisCache(disk_dir=tmp_path, readonly=True)
+        first = EphemerisCache(disk_dir=tmp_path)
         first.constellation_grid(props, epoch, full[:90])
 
-        reborn = EphemerisCache(disk_dir=tmp_path, readonly=True)
+        reborn = EphemerisCache(disk_dir=tmp_path)
         got = reborn.extend_constellation_grid(
             props, epoch, full, prefix_offsets_s=full[:90])
         assert reborn.stats.grid_extensions == 1
@@ -168,12 +168,12 @@ class TestSegmentTierExtension:
         props = make_fleet(2)
         epoch = props[0].tle.epoch
         full = np.arange(100, dtype=float) * 30.0
-        writer = EphemerisCache(disk_dir=tmp_path, readonly=True)
+        writer = EphemerisCache(disk_dir=tmp_path)
         writer.constellation_grid(props, epoch, full[:50])
         writer.constellation_grid(props, epoch, full)
         assert writer.stats.grid_extensions == 1
 
-        reader = EphemerisCache(disk_dir=tmp_path, readonly=True)
+        reader = EphemerisCache(disk_dir=tmp_path)
         got = reader.constellation_grid(props, epoch, full)
         assert reader.stats.grid_misses == 0
         assert reader.stats.grid_extensions == 0
@@ -185,7 +185,7 @@ class TestSegmentTierExtension:
         props = make_fleet(2)
         epoch = props[0].tle.epoch
         full = np.arange(60, dtype=float) * 30.0
-        cache = EphemerisCache(disk_dir=tmp_path, readonly=True)
+        cache = EphemerisCache(disk_dir=tmp_path)
         bogus = np.arange(30, dtype=float) * 31.0
         got = cache.extend_constellation_grid(
             props, epoch, full, prefix_offsets_s=bogus)
@@ -252,10 +252,10 @@ if HAS_HYPOTHESIS:
             t = splits[0]
             epoch = props[0].tle.epoch
             disk = tmp_path_factory.mktemp("twin-reopen")
-            first = EphemerisCache(disk_dir=disk, readonly=True)
+            first = EphemerisCache(disk_dir=disk)
             first.constellation_grid(props, epoch, full[:t])
 
-            reborn = EphemerisCache(disk_dir=disk, readonly=True)
+            reborn = EphemerisCache(disk_dir=disk)
             got = reborn.extend_constellation_grid(
                 props, epoch, full, prefix_offsets_s=full[:t])
             assert reborn.stats.grid_extensions == 1
