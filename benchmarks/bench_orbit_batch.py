@@ -1,15 +1,16 @@
-"""Batched SGP4 fleet pass search vs the per-satellite scalar loop.
+"""Batched SGP4 fleet pass search vs one call per (satellite, observer).
 
 Benchmarks the PR 4 tentpole at three fleet sizes x two observer-grid
-sizes (10 / 39 / 200 satellites x 8 / 27 sites):
+sizes (10 / 39 / 200 satellites x 8 / 27 sites).  Both sides run the
+same SGP4 kernel; they differ in how many calls they make:
 
 * **coarse phase** — producing the ECEF coarse grid every pass search
-  starts from.  Scalar baseline: one ``SGP4.propagate`` plus one
-  ``teme_to_ecef`` rotation per (satellite, observer) pair — exactly
-  what per-site ``PassPredictor`` calls used to cost across a site
-  sweep with no cross-site sharing.  Batched path: one
-  ``SGP4Batch`` propagation of the ``(N, T, 3)`` stack plus one
-  rotation with GMST derived once.
+  starts from.  Per-pair baseline: N x M one-row calls, one
+  ``SGP4.propagate`` plus one ``teme_to_ecef`` rotation per
+  (satellite, observer) pair — exactly what per-site ``PassPredictor``
+  calls used to cost across a site sweep with no cross-site sharing.
+  Batched path: one ``SGP4Batch`` propagation of the ``(N, T, 3)``
+  stack plus one rotation with GMST derived once.
 * **full pipeline** — complete window prediction with interp
   refinement: nested per-(satellite, observer) ``find_passes`` vs one
   ``find_passes_fleet``.
@@ -18,8 +19,8 @@ Asserted contracts (the ISSUE acceptance numbers), checked in the same
 run that is timed:
 
 * batched ``(r, v)`` rows are **bit-identical** (``np.array_equal``)
-  to the scalar propagator's output for every satellite;
-* fleet pass lists equal the nested scalar pass lists window for
+  to each satellite's own ``SGP4.propagate`` output;
+* fleet pass lists equal the nested per-pair pass lists window for
   window, field for field;
 * the coarse phase is >= 5x faster at 39 satellites x 27 sites.
 
@@ -104,8 +105,8 @@ def _time_best(fn, repeats: int) -> Tuple[float, object]:
     return best, value
 
 
-def _coarse_scalar(props: Sequence[SGP4], observers, epoch,
-                   offsets: np.ndarray):
+def _coarse_per_pair(props: Sequence[SGP4], observers, epoch,
+                     offsets: np.ndarray):
     """Per-(satellite, observer) propagation + rotation baseline."""
     jd = epoch.offset_jd(offsets)
     out = []
@@ -127,8 +128,8 @@ def _coarse_batched(props: Sequence[SGP4], epoch, offsets: np.ndarray):
     return r, v, teme_to_ecef(r, jd)
 
 
-def _passes_scalar(props: Sequence[SGP4], observers, epoch,
-                   duration_s: float):
+def _passes_per_pair(props: Sequence[SGP4], observers, epoch,
+                     duration_s: float):
     return [[PassPredictor(prop, obs,
                            min_elevation_deg=MIN_ELEVATION_DEG)
              .find_passes(epoch, duration_s,
@@ -153,13 +154,13 @@ def _run_scenario(n_sats: int, n_obs: int, duration_s: float,
     epoch = props[0].tle.epoch
     offsets = PassPredictor.coarse_offsets(duration_s, COARSE_STEP_S)
 
-    scalar_coarse_s, scalar_grids = _time_best(
-        lambda: _coarse_scalar(props, observers, epoch, offsets),
+    per_pair_coarse_s, per_pair_grids = _time_best(
+        lambda: _coarse_per_pair(props, observers, epoch, offsets),
         repeats)
     batch_coarse_s, (r_batch, v_batch, _) = _time_best(
         lambda: _coarse_batched(props, epoch, offsets), repeats)
 
-    # Bit-identity of the stacked states against the scalar kernel.
+    # Bit-identity of the stacked states against per-satellite calls.
     for i, prop in enumerate(props):
         tsince = float(epoch - prop.tle.epoch) + offsets
         r_ref, v_ref = prop.propagate(tsince)
@@ -167,10 +168,10 @@ def _run_scenario(n_sats: int, n_obs: int, duration_s: float,
             f"r diverged for satellite {prop.tle.norad_id}"
         assert np.array_equal(v_batch[i], v_ref), \
             f"v diverged for satellite {prop.tle.norad_id}"
-    del scalar_grids
+    del per_pair_grids
 
-    scalar_full_s, scalar_passes = _time_best(
-        lambda: _passes_scalar(props, observers, epoch, duration_s), 1)
+    per_pair_full_s, per_pair_passes = _time_best(
+        lambda: _passes_per_pair(props, observers, epoch, duration_s), 1)
     fleet_full_s, fleet_passes = _time_best(
         lambda: _passes_fleet(props, observers, epoch, duration_s), 1)
 
@@ -178,9 +179,9 @@ def _run_scenario(n_sats: int, n_obs: int, duration_s: float,
     windows = 0
     for n in range(len(props)):
         for m in range(len(observers)):
-            assert list(fleet_passes[n][m]) == scalar_passes[n][m], \
+            assert list(fleet_passes[n][m]) == per_pair_passes[n][m], \
                 f"pass list diverged at satellite {n}, observer {m}"
-            windows += len(scalar_passes[n][m])
+            windows += len(per_pair_passes[n][m])
 
     return {
         "n_sats": n_sats,
@@ -188,12 +189,12 @@ def _run_scenario(n_sats: int, n_obs: int, duration_s: float,
         "duration_s": duration_s,
         "grid_points": int(offsets.size),
         "windows": windows,
-        "coarse_scalar_s": round(scalar_coarse_s, 6),
+        "coarse_per_pair_s": round(per_pair_coarse_s, 6),
         "coarse_batched_s": round(batch_coarse_s, 6),
-        "coarse_speedup": round(scalar_coarse_s / batch_coarse_s, 2),
-        "full_scalar_s": round(scalar_full_s, 6),
+        "coarse_speedup": round(per_pair_coarse_s / batch_coarse_s, 2),
+        "full_per_pair_s": round(per_pair_full_s, 6),
         "full_fleet_s": round(fleet_full_s, 6),
-        "full_speedup": round(scalar_full_s / fleet_full_s, 2),
+        "full_speedup": round(per_pair_full_s / fleet_full_s, 2),
     }
 
 
@@ -223,16 +224,16 @@ def run_benchmark(smoke: bool, seed: int = SEED) -> dict:
     }
     write_json("orbit_batch", payload)
 
-    lines = [f"Fleet pass search — SGP4Batch vs per-satellite loop "
+    lines = [f"Fleet pass search — one fleet call vs N x M per-pair calls "
              f"({'smoke' if smoke else 'full'}, "
              f"{duration_s / 3600.0:.0f} h @ {COARSE_STEP_S:.0f} s)"]
     for row in rows:
         lines.append(
             f"  {row['n_sats']:4d} sats x {row['n_obs']:2d} sites  "
-            f"coarse {row['coarse_scalar_s'] * 1e3:9.1f} -> "
+            f"coarse {row['coarse_per_pair_s'] * 1e3:9.1f} -> "
             f"{row['coarse_batched_s'] * 1e3:8.1f} ms "
             f"({row['coarse_speedup']:6.1f}x)   "
-            f"full {row['full_scalar_s']:7.2f} -> "
+            f"full {row['full_per_pair_s']:7.2f} -> "
             f"{row['full_fleet_s']:6.2f} s "
             f"({row['full_speedup']:5.1f}x)   "
             f"{row['windows']:5d} windows")

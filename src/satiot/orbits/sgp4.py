@@ -8,9 +8,13 @@ LEO, so the deep-space (SDP4) resonance/lunisolar terms are never
 exercised; constructing a propagator for a deep-space object raises
 :class:`DeepSpaceError` rather than returning silently wrong states.
 
-The propagation entry point accepts a numpy array of times and evaluates
-the whole ephemeris in one vectorized pass, which is what makes the
-month-scale measurement campaigns in this repository tractable.
+All propagation runs through one module-level kernel, vectorized over a
+``(B, T)`` block of satellites and instants: :meth:`SGP4.propagate`
+passes the propagator itself as a one-row block, and
+:class:`~satiot.orbits.sgp4_batch.SGP4Batch` passes row blocks of its
+stacked coefficients.  Evaluating a whole ephemeris in one vectorized
+pass is what makes the month-scale measurement campaigns in this
+repository tractable.
 
 Output states are in the TEME (true equator, mean equinox) frame of the
 element set, in kilometres and kilometres per second.
@@ -19,7 +23,7 @@ element set, in kilometres and kilometres per second.
 from __future__ import annotations
 
 import math
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,6 +90,13 @@ class SGP4:
         xke = grav.xke
         radiusearthkm = grav.radiusearthkm
 
+        elements = {"mean motion": no_kozai, "eccentricity": ecco,
+                    "inclination": inclo, "RAAN": nodeo,
+                    "argument of perigee": argpo, "mean anomaly": mo,
+                    "B*": bstar}
+        for label, value in elements.items():
+            if not math.isfinite(value):
+                raise SGP4Error(f"non-finite {label}: {value}")
         if not 0.0 <= ecco < 1.0:
             raise SGP4Error(f"eccentricity out of range: {ecco}")
         if no_kozai <= 0.0:
@@ -251,158 +262,207 @@ class SGP4:
         (r, v):
             Arrays of shape ``(..., 3)`` matching the input's shape.
         """
-        grav = self.gravity
         t = np.asarray(tsince_s, dtype=float) / 60.0  # minutes
-        scalar_input = t.ndim == 0
-        t = np.atleast_1d(t)
-
-        # --- secular gravity and drag -------------------------------------
-        xmdf = self.mo + self.mdot * t
-        argpdf = self.argpo + self.argpdot * t
-        nodedf = self.nodeo + self.nodedot * t
-        argpm = argpdf.copy()
-        mm = xmdf.copy()
-        t2 = t * t
-        nodem = nodedf + self.nodecf * t2
-        tempa = 1.0 - self.cc1 * t
-        tempe = self.bstar * self.cc4 * t
-        templ = self.t2cof * t2
-
-        if self.isimp != 1:
-            delomg = self.omgcof * t
-            delmtemp = 1.0 + self.eta * np.cos(xmdf)
-            delm = self.xmcof * (delmtemp ** 3 - self.delmo)
-            temp = delomg + delm
-            mm = xmdf + temp
-            argpm = argpdf - temp
-            t3 = t2 * t
-            t4 = t3 * t
-            tempa = tempa - self.d2 * t2 - self.d3 * t3 - self.d4 * t4
-            tempe = tempe + self.bstar * self.cc5 * (np.sin(mm) - self.sinmao)
-            templ = templ + self.t3cof * t3 + t4 * (self.t4cof
-                                                    + t * self.t5cof)
-
-        nm = self.no_unkozai
-        em = self.ecco - tempe
-        am = self.ao * tempa * tempa
-
-        # Past full decay the drag polynomial goes non-positive and the
-        # squared form would silently grow again — treat it as decayed.
-        if check_decay and np.any(tempa <= 0.0):
-            raise DecayedError(
-                f"satellite {self.tle.norad_id} decayed during propagation")
-        if check_decay and (np.any(am < 0.95) or np.any(em >= 1.0)):
-            raise DecayedError(
-                f"satellite {self.tle.norad_id} decayed during propagation")
-        # Guard against drag driving eccentricity slightly negative.
-        em = np.clip(em, 1.0e-6, 0.999999)
-
-        mm = mm + self.no_unkozai * templ
-        xlm = mm + argpm + nodem
-
-        nodem = np.remainder(nodem, TWO_PI)
-        argpm = np.remainder(argpm, TWO_PI)
-        xlm = np.remainder(xlm, TWO_PI)
-        mm = np.remainder(xlm - argpm - nodem, TWO_PI)
-
-        # --- long-period periodics ----------------------------------------
-        axnl = em * np.cos(argpm)
-        temp = 1.0 / (am * (1.0 - em * em))
-        aynl = em * np.sin(argpm) + temp * self.aycof
-        xl = mm + argpm + nodem + temp * self.xlcof * axnl
-
-        # --- Kepler's equation (vectorized Newton) -------------------------
-        # Convergence is judged per element, and a converged element is
-        # frozen: each instant's Newton trajectory depends only on that
-        # instant, never on which other instants share the call.  That
-        # makes propagation memoryless along the time axis — the grid
-        # over [0, b) equals the [0, b) slice of the grid over [0, c)
-        # bit for bit, which the incremental ephemeris extension tier
-        # (satiot.runtime.ephemeris_cache) relies on.
-        u = np.remainder(xl - nodem, TWO_PI)
-        eo1 = u.copy()
-        pending = np.ones(np.shape(eo1), dtype=bool)
-        for _ in range(12):
-            sineo1 = np.sin(eo1)
-            coseo1 = np.cos(eo1)
-            tem5 = ((u - aynl * coseo1 + axnl * sineo1 - eo1)
-                    / (1.0 - coseo1 * axnl - sineo1 * aynl))
-            tem5 = np.clip(tem5, -0.95, 0.95)
-            eo1 = np.where(pending, eo1 + tem5, eo1)
-            pending &= np.abs(tem5) >= 1.0e-12
-            if not pending.any():
-                break
-        sineo1 = np.sin(eo1)
-        coseo1 = np.cos(eo1)
-
-        # --- short-period periodics ----------------------------------------
-        ecose = axnl * coseo1 + aynl * sineo1
-        esine = axnl * sineo1 - aynl * coseo1
-        el2 = axnl * axnl + aynl * aynl
-        pl = am * (1.0 - el2)
-        if np.any(pl < 0.0):
-            raise SGP4Error("semi-latus rectum went negative")
-
-        rl = am * (1.0 - ecose)
-        rdotl = np.sqrt(am) * esine / rl
-        rvdotl = np.sqrt(pl) / rl
-        betal = np.sqrt(1.0 - el2)
-        temp = esine / (1.0 + betal)
-        sinu = am / rl * (sineo1 - aynl - axnl * temp)
-        cosu = am / rl * (coseo1 - axnl + aynl * temp)
-        su = np.arctan2(sinu, cosu)
-        sin2u = (cosu + cosu) * sinu
-        cos2u = 1.0 - 2.0 * sinu * sinu
-        temp = 1.0 / pl
-        temp1 = 0.5 * grav.j2 * temp
-        temp2 = temp1 * temp
-
-        mrt = (rl * (1.0 - 1.5 * temp2 * betal * self.con41)
-               + 0.5 * temp1 * self.x1mth2 * cos2u)
-        su = su - 0.25 * temp2 * self.x7thm1 * sin2u
-        xnode = nodem + 1.5 * temp2 * self.cosio * sin2u
-        xinc = self.inclo + 1.5 * temp2 * self.cosio * self.sinio * cos2u
-        mvt = rdotl - nm * temp1 * self.x1mth2 * sin2u / grav.xke
-        rvdot = rvdotl + nm * temp1 * (self.x1mth2 * cos2u
-                                       + 1.5 * self.con41) / grav.xke
-
-        # --- orientation vectors -------------------------------------------
-        sinsu = np.sin(su)
-        cossu = np.cos(su)
-        snod = np.sin(xnode)
-        cnod = np.cos(xnode)
-        sini = np.sin(xinc)
-        cosi = np.cos(xinc)
-        xmx = -snod * cosi
-        xmy = cnod * cosi
-        ux = xmx * sinsu + cnod * cossu
-        uy = xmy * sinsu + snod * cossu
-        uz = sini * sinsu
-        vx = xmx * cossu - cnod * sinsu
-        vy = xmy * cossu - snod * sinsu
-        vz = sini * cossu
-
-        vkmpersec = grav.radiusearthkm * grav.xke / 60.0
-        r = np.stack([mrt * ux, mrt * uy, mrt * uz],
-                     axis=-1) * grav.radiusearthkm
-        v = np.stack([mvt * ux + rvdot * vx,
-                      mvt * uy + rvdot * vy,
-                      mvt * uz + rvdot * vz], axis=-1) * vkmpersec
-
-        if check_decay and np.any(mrt < 1.0):
-            raise DecayedError(
-                f"satellite {self.tle.norad_id} decayed during propagation")
-
-        if scalar_input:
-            return r[0], v[0]
-        return r, v
-
-    def position_at(self, tsince_s: ArrayLike) -> np.ndarray:
-        """Convenience accessor returning only the TEME position."""
-        r, _ = self.propagate(tsince_s)
-        return r
+        r, v = _propagate_block(self, t.reshape(1, -1), self.gravity,
+                                (self.tle.norad_id,), check_decay)
+        shape = t.shape + (3,)
+        return r.reshape(shape), v.reshape(shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SGP4(norad={self.tle.norad_id}, "
                 f"n={self.tle.mean_motion_rev_day:.4f} rev/day, "
                 f"i={self.tle.inclination_deg:.2f} deg)")
+
+
+#: The sgp4init products the propagation kernel reads, besides ``isimp``.
+_COEFFICIENTS = (
+    "ecco", "inclo", "nodeo", "argpo", "mo", "bstar", "no_unkozai",
+    "eta", "cc1", "x1mth2", "cc4", "cc5", "mdot", "argpdot", "nodedot",
+    "omgcof", "xmcof", "nodecf", "t2cof", "xlcof", "aycof", "delmo",
+    "sinmao", "x7thm1", "con41", "cosio", "sinio", "ao",
+    "d2", "d3", "d4", "t3cof", "t4cof", "t5cof",
+)
+
+
+def _propagate_block(c, t: np.ndarray, grav: GravityModel,
+                     norad_ids: Sequence[int], check_decay: bool,
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """The SGP4 propagation kernel over a ``(B, T)`` block of satellites.
+
+    ``t`` holds minutes since each row's epoch.  ``c`` carries the
+    :data:`_COEFFICIENTS` and ``isimp`` of the block's B satellites as
+    attributes that broadcast against ``t``: an :class:`SGP4` instance
+    (Python numbers, B = 1) or a batch's ``(B, 1)`` coefficient columns
+    with a ``(B,)`` ``isimp``.  ``norad_ids[b]`` names row ``b`` in
+    errors.  Returns ``(B, T, 3)`` TEME position (km) and velocity
+    (km/s).
+
+    Every operation is element-wise within a row, so a row's bits do
+    not depend on which other rows share the call; the callers' row
+    blocks and gathers rely on that.
+    """
+    (ecco, inclo, nodeo, argpo, mo, bstar, no_unkozai, eta, cc1,
+     x1mth2, cc4, cc5, mdot, argpdot, nodedot, omgcof, xmcof,
+     nodecf, t2cof, xlcof, aycof, delmo, sinmao, x7thm1, con41,
+     cosio, sinio, ao, d2, d3, d4, t3cof, t4cof, t5cof) = (
+        getattr(c, name) for name in _COEFFICIENTS)
+    nrows = t.shape[0]
+
+    # --- secular gravity and drag -------------------------------------
+    xmdf = mo + mdot * t
+    argpdf = argpo + argpdot * t
+    nodedf = nodeo + nodedot * t
+    argpm = argpdf.copy()
+    mm = xmdf.copy()
+    t2 = t * t
+    nodem = nodedf + nodecf * t2
+    tempa = 1.0 - cc1 * t
+    tempe = bstar * cc4 * t
+    templ = t2cof * t2
+
+    # Simple-drag rows skip the higher-order correction block entirely
+    # (not merely with zero coefficients: ``omgcof`` can be non-zero
+    # for them), so the block runs on the row subset that needs it.
+    idx = np.flatnonzero(c.isimp != 1)
+    if idx.size:
+        full = idx.size == nrows
+        sel: Union[slice, np.ndarray] = slice(None) if full else idx
+
+        def sub(a: np.ndarray) -> np.ndarray:
+            return a if full else a[idx]
+
+        ts = sub(t)
+        t2s = sub(t2)
+        xmdfs = sub(xmdf)
+        delomg = sub(omgcof) * ts
+        delmtemp = 1.0 + sub(eta) * np.cos(xmdfs)
+        delm = sub(xmcof) * (delmtemp ** 3 - sub(delmo))
+        temp = delomg + delm
+        mms = xmdfs + temp
+        mm[sel] = mms
+        argpm[sel] = sub(argpdf) - temp
+        t3 = t2s * ts
+        t4 = t3 * ts
+        tempa[sel] = (sub(tempa) - sub(d2) * t2s - sub(d3) * t3
+                      - sub(d4) * t4)
+        tempe[sel] = (sub(tempe) + sub(bstar) * sub(cc5)
+                      * (np.sin(mms) - sub(sinmao)))
+        templ[sel] = (sub(templ) + sub(t3cof) * t3
+                      + t4 * (sub(t4cof) + ts * sub(t5cof)))
+
+    nm = no_unkozai
+    em = ecco - tempe
+    am = ao * tempa * tempa
+
+    if check_decay:
+        # Past full decay the drag polynomial goes non-positive and the
+        # squared form would silently grow again — treat it as decayed.
+        # The lowest-index decayed row raises, like a row-by-row loop.
+        bad = (tempa <= 0.0) | (am < 0.95) | (em >= 1.0)
+        if bad.any():
+            norad = int(norad_ids[int(np.argmax(bad.any(axis=1)))])
+            raise DecayedError(
+                f"satellite {norad} decayed during propagation")
+    # Guard against drag driving eccentricity slightly negative.
+    em = np.clip(em, 1.0e-6, 0.999999)
+
+    mm = mm + no_unkozai * templ
+    xlm = mm + argpm + nodem
+
+    nodem = np.remainder(nodem, TWO_PI)
+    argpm = np.remainder(argpm, TWO_PI)
+    xlm = np.remainder(xlm, TWO_PI)
+    mm = np.remainder(xlm - argpm - nodem, TWO_PI)
+
+    # --- long-period periodics ----------------------------------------
+    axnl = em * np.cos(argpm)
+    temp = 1.0 / (am * (1.0 - em * em))
+    aynl = em * np.sin(argpm) + temp * aycof
+    xl = mm + argpm + nodem + temp * xlcof * axnl
+
+    # --- Kepler's equation (vectorized Newton) -------------------------
+    # Convergence is judged per element, and a converged element is
+    # frozen: each (satellite, instant) Newton trajectory depends only
+    # on that cell, never on which other cells share the call.  That
+    # makes propagation memoryless along the time axis — the grid over
+    # [0, b) equals the [0, b) slice of the grid over [0, c) bit for
+    # bit, which the incremental ephemeris extension tier
+    # (satiot.runtime.ephemeris_cache) relies on.
+    u = np.remainder(xl - nodem, TWO_PI)
+    eo1 = u.copy()
+    pending = np.ones(u.shape, dtype=bool)
+    for _ in range(12):
+        sineo1 = np.sin(eo1)
+        coseo1 = np.cos(eo1)
+        tem5 = ((u - aynl * coseo1 + axnl * sineo1 - eo1)
+                / (1.0 - coseo1 * axnl - sineo1 * aynl))
+        tem5 = np.clip(tem5, -0.95, 0.95)
+        eo1 = np.where(pending, eo1 + tem5, eo1)
+        pending &= np.abs(tem5) >= 1.0e-12
+        if not pending.any():
+            break
+    sineo1 = np.sin(eo1)
+    coseo1 = np.cos(eo1)
+
+    # --- short-period periodics ----------------------------------------
+    ecose = axnl * coseo1 + aynl * sineo1
+    esine = axnl * sineo1 - aynl * coseo1
+    el2 = axnl * axnl + aynl * aynl
+    pl = am * (1.0 - el2)
+    if np.any(pl < 0.0):
+        raise SGP4Error("semi-latus rectum went negative")
+
+    rl = am * (1.0 - ecose)
+    rdotl = np.sqrt(am) * esine / rl
+    rvdotl = np.sqrt(pl) / rl
+    betal = np.sqrt(1.0 - el2)
+    temp = esine / (1.0 + betal)
+    sinu = am / rl * (sineo1 - aynl - axnl * temp)
+    cosu = am / rl * (coseo1 - axnl + aynl * temp)
+    su = np.arctan2(sinu, cosu)
+    sin2u = (cosu + cosu) * sinu
+    cos2u = 1.0 - 2.0 * sinu * sinu
+    temp = 1.0 / pl
+    temp1 = 0.5 * grav.j2 * temp
+    temp2 = temp1 * temp
+
+    mrt = (rl * (1.0 - 1.5 * temp2 * betal * con41)
+           + 0.5 * temp1 * x1mth2 * cos2u)
+    su = su - 0.25 * temp2 * x7thm1 * sin2u
+    xnode = nodem + 1.5 * temp2 * cosio * sin2u
+    xinc = inclo + 1.5 * temp2 * cosio * sinio * cos2u
+    mvt = rdotl - nm * temp1 * x1mth2 * sin2u / grav.xke
+    rvdot = rvdotl + nm * temp1 * (x1mth2 * cos2u
+                                   + 1.5 * con41) / grav.xke
+
+    # --- orientation vectors -------------------------------------------
+    sinsu = np.sin(su)
+    cossu = np.cos(su)
+    snod = np.sin(xnode)
+    cnod = np.cos(xnode)
+    sini = np.sin(xinc)
+    cosi = np.cos(xinc)
+    xmx = -snod * cosi
+    xmy = cnod * cosi
+    ux = xmx * sinsu + cnod * cossu
+    uy = xmy * sinsu + snod * cossu
+    uz = sini * sinsu
+    vx = xmx * cossu - cnod * sinsu
+    vy = xmy * cossu - snod * sinsu
+    vz = sini * cossu
+
+    vkmpersec = grav.radiusearthkm * grav.xke / 60.0
+    r = np.stack([mrt * ux, mrt * uy, mrt * uz],
+                 axis=-1) * grav.radiusearthkm
+    v = np.stack([mvt * ux + rvdot * vx,
+                  mvt * uy + rvdot * vy,
+                  mvt * uz + rvdot * vz], axis=-1) * vkmpersec
+
+    if check_decay:
+        bad = mrt < 1.0
+        if bad.any():
+            norad = int(norad_ids[int(np.argmax(bad.any(axis=1)))])
+            raise DecayedError(
+                f"satellite {norad} decayed during propagation")
+
+    return r, v

@@ -92,6 +92,20 @@ def _format_exp_field(value: float) -> str:
     return f"{sign}{mantissa_digits:05d}{exp_str}"
 
 
+#: The float fields of a :class:`TLE`: ``float()`` reads ``nan`` and
+#: ``inf`` from a line, and neither is an element value.
+_FLOAT_FIELDS = ("epochdays", "ndot", "nddot", "bstar", "inclination_deg",
+                 "raan_deg", "eccentricity", "argp_deg", "mean_anomaly_deg",
+                 "mean_motion_rev_day")
+
+
+def _check_finite(tle: TLE) -> None:
+    for field in _FLOAT_FIELDS:
+        value = getattr(tle, field)
+        if not math.isfinite(value):
+            raise TLEError(f"non-finite {field}: {value!r}")
+
+
 @dataclass(frozen=True)
 class TLE:
     """A parsed two-line element set.
@@ -227,6 +241,7 @@ def parse_tle(line1: str, line2: str, name: str = "",
     except ValueError as exc:
         raise TLEError(f"malformed TLE field: {exc}") from exc
 
+    _check_finite(tle)
     if not 0.0 <= tle.eccentricity < 1.0:
         raise TLEError(f"eccentricity out of range: {tle.eccentricity}")
     if tle.mean_motion_rev_day <= 0.0:
@@ -238,6 +253,7 @@ def parse_tle(line1: str, line2: str, name: str = "",
 
 def format_tle(tle: TLE) -> Tuple[str, str]:
     """Render a :class:`TLE` back to its two 69-column lines."""
+    _check_finite(tle)
     if not 0 <= tle.norad_id <= 99999:
         raise TLEError(f"catalog number out of range: {tle.norad_id}")
     if not 0 <= tle.epochyr <= 99:

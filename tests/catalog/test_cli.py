@@ -11,6 +11,9 @@ from satiot.catalog import (TleDb, read_catalog,
 from satiot.catalog.synth import MegaConstellationSpec
 from satiot.cli import main
 from satiot.constellations.shells import ShellSpec
+from satiot.orbits.tle import checksum, format_tle
+
+from tests.conftest import make_test_tle
 
 SPEC = MegaConstellationSpec(
     name="MINI",
@@ -75,6 +78,14 @@ class TestCatalogVerbs:
                      str(bad)])
         assert code == 2
         assert "error: cannot ingest" in capsys.readouterr().err
+        # Checksummed, but the mean-motion field reads nan.
+        line1, line2 = format_tle(make_test_tle())
+        line2 = line2[:52] + "nan".rjust(11) + line2[63:68]
+        bad.write_text(f"NAN-SAT\n{line1}\n{line2}{checksum(line2)}\n")
+        code = main(["catalog", "insert", str(tmp_path / "c.db"),
+                     str(bad)])
+        assert code == 2
+        assert ":2: non-finite mean_motion_rev_day" in capsys.readouterr().err
 
     def test_get_table_and_3le(self, mini_db, capsys):
         assert main(["catalog", "get", str(mini_db),

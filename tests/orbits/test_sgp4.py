@@ -1,10 +1,15 @@
 """SGP4 propagator validation.
 
 With no reference ephemeris available offline, correctness rests on
-physical invariants plus agreement with the independent J2 secular
-propagator (no shared code), which would expose any sign/unit error.
+physical invariants, agreement with the independent J2 secular
+propagator (no shared code), which would expose any sign/unit error,
+and golden vectors that pin the kernel's arithmetic (see
+``tests/fixtures/make_sgp4_golden.py`` for their provenance).
 """
 
+import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +18,20 @@ from satiot.orbits.constants import MU_EARTH_KM3_S2
 from satiot.orbits.j2 import J2Propagator
 from satiot.orbits.kepler import KeplerianElements, semi_major_axis_km
 from satiot.orbits.sgp4 import SGP4, DecayedError, DeepSpaceError, SGP4Error
+from satiot.orbits.sgp4_batch import SGP4Batch
+from satiot.orbits.tle import parse_tle
 
 from tests.conftest import make_test_tle
+
+GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / "sgp4_golden.npz"
+
+#: Golden tolerances, absolute: 1 mm and 1 um/s.  The vectors come
+#: from one NumPy build; another platform's libm may round sin, cos or
+#: arctan2 differently in the last place, which moves a state by
+#: orders of magnitude less, while a changed term of the kernel moves
+#: it by metres or more.
+GOLDEN_ATOL_KM = 1.0e-6
+GOLDEN_ATOL_KM_S = 1.0e-9
 
 
 @pytest.fixture(scope="module")
@@ -103,14 +120,73 @@ class TestAgainstJ2:
         assert sat.nodedot / 60.0 == pytest.approx(expected_rate, rel=0.01)
 
 
+@pytest.fixture(scope="module")
+def golden():
+    """The committed vectors, with propagators built from their lines."""
+    with np.load(GOLDEN) as data:
+        fixture = {name: data[name] for name in data.files}
+    tles = [parse_tle(a, b, name=n) for n, a, b in
+            zip(fixture["names"], fixture["line1"], fixture["line2"])]
+    fixture["props"] = [SGP4(tle) for tle in tles]
+    fixture["epoch"] = tles[0].epoch
+    fixture["tsince"] = (np.array([float(tles[0].epoch - tle.epoch)
+                                   for tle in tles])[:, None]
+                         + fixture["offsets_s"])
+    return fixture
+
+
+def assert_golden(r, v, r_ref, v_ref):
+    np.testing.assert_allclose(r, r_ref, rtol=0.0, atol=GOLDEN_ATOL_KM)
+    np.testing.assert_allclose(v, v_ref, rtol=0.0, atol=GOLDEN_ATOL_KM_S)
+
+
+class TestGoldenVectors:
+    def test_fixture_covers_the_study_and_edge_cases(self, golden):
+        names = list(golden["names"])
+        assert len(names) == 43
+        assert names[39:] == ["isimp", "e=0.03", "high-drag",
+                              "negative-time"]
+        assert golden["props"][39].isimp == 1
+        assert golden["props"][40].tle.eccentricity == 0.03
+        assert np.all(golden["tsince"][42] < 0.0)
+        assert str(golden["commit"]) and str(golden["numpy_version"])
+
+    def test_propagate_array(self, golden):
+        for n, prop in enumerate(golden["props"]):
+            r, v = prop.propagate(golden["tsince"][n])
+            assert_golden(r, v, golden["r_km"][n], golden["v_km_s"][n])
+
+    def test_propagate_scalar(self, golden):
+        for n, prop in enumerate(golden["props"]):
+            for k in range(0, golden["offsets_s"].size, 5):
+                r, v = prop.propagate(float(golden["tsince"][n, k]))
+                assert r.shape == v.shape == (3,)
+                assert_golden(r, v, golden["r_km"][n, k],
+                              golden["v_km_s"][n, k])
+
+    def test_batch_propagate_offsets(self, golden):
+        batch = SGP4Batch.from_propagators(golden["props"])
+        r, v = batch.propagate_offsets(golden["epoch"], golden["offsets_s"])
+        assert_golden(r, v, golden["r_km"], golden["v_km_s"])
+
+    def test_batch_propagate_pairs(self, golden):
+        batch = SGP4Batch.from_propagators(golden["props"])
+        shape = golden["tsince"].shape
+        flat = np.random.default_rng(0).permutation(shape[0] * shape[1])
+        rows, cols = np.unravel_index(flat, shape)
+        r, v = batch.propagate_pairs(rows, golden["tsince"][rows, cols])
+        assert_golden(r, v, golden["r_km"][rows, cols],
+                      golden["v_km_s"][rows, cols])
+
+
 class TestVectorization:
     def test_scalar_matches_array(self, sat):
         times = [0.0, 500.0, 5000.0, 50000.0]
         r_vec, v_vec = sat.propagate(np.asarray(times))
         for i, t in enumerate(times):
             r, v = sat.propagate(t)
-            np.testing.assert_allclose(r, r_vec[i], rtol=1e-12)
-            np.testing.assert_allclose(v, v_vec[i], rtol=1e-12)
+            assert np.array_equal(r, r_vec[i])
+            assert np.array_equal(v, v_vec[i])
 
     def test_scalar_shape(self, sat):
         r, v = sat.propagate(0.0)
@@ -138,6 +214,15 @@ class TestErrorHandling:
         sat = SGP4(tle)
         with pytest.raises(DecayedError):
             sat.propagate(30 * 86400.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "mean_motion_rev_day", "eccentricity", "inclination_deg",
+        "raan_deg", "argp_deg", "mean_anomaly_deg", "bstar"])
+    def test_non_finite_elements_rejected(self, field, value):
+        tle = dataclasses.replace(make_test_tle(), **{field: value})
+        with pytest.raises(SGP4Error, match="non-finite"):
+            SGP4(tle)
 
     def test_low_perigee_uses_simple_drag(self):
         tle = make_test_tle(altitude_km=200.0)

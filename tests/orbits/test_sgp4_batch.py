@@ -1,10 +1,12 @@
-"""Bit-identity of the constellation-batched SGP4 kernel.
+"""Row independence of the SGP4 kernel, pinned bit for bit.
 
-Every downstream consumer (fleet pass search, the ephemeris cache's
+``SGP4.propagate`` and ``SGP4Batch`` run one kernel, and every
+downstream consumer (fleet pass search, the ephemeris cache's
 constellation-grid product, the serving fleet flush, the passive fleet
-sweep) shares cache keys and traces with the scalar per-satellite path,
-which is sound ONLY if ``SGP4Batch.propagate`` row ``n`` is
-bit-identical (``==``, not ``allclose``) to
+sweep) shares cache keys and traces with per-satellite calls.  That is
+sound ONLY if a row's bits (``==``, not ``allclose``) do not depend on
+which other rows, row blocks or gathers share its kernel call:
+``SGP4Batch.propagate`` row ``n`` must equal
 ``SGP4(tles[n]).propagate``.  These tests pin that contract
 property-style over random Table-3-style element sets, mixed epochs
 and ragged per-satellite time grids, plus the fleet pass search against
@@ -213,15 +215,6 @@ class TestPropagateBitIdentity:
         with pytest.raises(ValueError):
             batch.tsince_from_epoch(make_test_tle().epoch,
                                     np.zeros((2, 2)))
-
-    def test_subset_rows(self, study_fleet):
-        batch = SGP4Batch.from_propagators(study_fleet[:5])
-        sub = batch.subset([4, 1])
-        tsince = np.arange(25, dtype=float) * 60.0
-        r, v = batch.propagate(tsince)
-        r_s, v_s = sub.propagate(tsince)
-        assert np.array_equal(r_s[0], r[4])
-        assert np.array_equal(v_s[1], v[1])
 
 
 class TestPropagatePairs:

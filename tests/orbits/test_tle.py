@@ -1,5 +1,7 @@
 """Tests for the TLE codec."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,33 @@ class TestParsingErrors:
         b = format_tle(make_test_tle(norad_id=22222))
         with pytest.raises(TLEError, match="mismatch"):
             parse_tle(a[0], b[1])
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field,line,start,end", [
+        ("ndot", 0, 33, 43),
+        ("inclination_deg", 1, 8, 16),
+        ("raan_deg", 1, 17, 25),
+        ("argp_deg", 1, 34, 42),
+        ("mean_anomaly_deg", 1, 43, 51),
+        ("mean_motion_rev_day", 1, 52, 63),
+    ])
+    def test_non_finite_field_named(self, field, line, start, end, text):
+        """``float()`` reads nan/inf; a checksummed line must not pass."""
+        lines = list(format_tle(make_test_tle()))
+        body = lines[line][:start] + text.rjust(end - start) \
+            + lines[line][end:68]
+        lines[line] = body + str(checksum(body))
+        with pytest.raises(TLEError, match=f"non-finite {field}"):
+            parse_tle(*lines)
+
+    @pytest.mark.parametrize("field", [
+        "epochdays", "ndot", "nddot", "bstar", "inclination_deg",
+        "raan_deg", "eccentricity", "argp_deg", "mean_anomaly_deg",
+        "mean_motion_rev_day"])
+    def test_format_refuses_non_finite(self, field):
+        tle = replace(make_test_tle(), **{field: float("nan")})
+        with pytest.raises(TLEError, match=f"non-finite {field}"):
+            format_tle(tle)
 
 
 class TestDerivedAccessors:
