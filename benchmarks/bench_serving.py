@@ -1,13 +1,15 @@
 """Serving-layer load benchmark: micro-batched vs. unbatched throughput.
 
 Starts two in-process :class:`satiot.serving.ServingServer` instances —
-one with the micro-batching engine enabled, one degraded to honest
-per-request serial service — and drives both with an asyncio load
-generator sweeping concurrency levels.  Every request queries
-``/v1/passes`` for a *unique* random location, so the result cache
-cannot help and the comparison isolates the batching engine's shared
-orbital work (one SGP4 grid + TEME→ECEF conversion per satellite per
-batch instead of per request).
+one with the micro-batching engine enabled, one degraded to one
+request per batch — and drives both with an asyncio load generator
+sweeping concurrency levels.  Every request queries ``/v1/passes`` for
+a *unique* random location, so the result cache cannot help.  Both
+modes answer through the same fleet pass search over a cached
+constellation grid; unbatched, every request runs its own search (one
+TEME→ECEF conversion of the whole grid, one refinement pass, one
+executor hand-off), batched, one search serves every observer of the
+flush.  The comparison isolates that per-search overhead.
 
 Reported per (mode, concurrency): throughput (req/s), client-side
 p50/p90/p99/max latency, status counts; plus the server-side batch-size

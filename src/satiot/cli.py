@@ -495,8 +495,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     service = ConstellationService(constellations=constellations,
                                    coarse_step_s=config.coarse_step_s,
-                                   extra=extra, providers=providers,
-                                   realtime=config.realtime)
+                                   extra=extra, providers=providers)
     server = ServingServer(config, service=service)
 
     async def run() -> None:

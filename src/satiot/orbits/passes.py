@@ -121,23 +121,14 @@ class PassPredictor:
     min_elevation_deg:
         Elevation mask defining the theoretical window (paper uses the
         visibility horizon; TinyGS antennas see essentially to 0 deg).
-    grid_provider:
-        Optional callable ``(epoch, offsets) -> (r, v)`` supplying the
-        coarse-grid TEME states instead of a direct SGP4 evaluation.
-        Used by :class:`satiot.runtime.EphemerisCache` to share one
-        propagation grid across every observer site; a provider **must**
-        return exactly what ``propagator.propagate`` would, or window
-        predictions will silently diverge.
     """
 
     def __init__(self, propagator: SGP4, observer: GeodeticPoint,
-                 min_elevation_deg: float = 0.0,
-                 grid_provider=None) -> None:
+                 min_elevation_deg: float = 0.0) -> None:
         check_elevation_mask(min_elevation_deg)
         self.propagator = propagator
         self.observer = observer
         self.min_elevation_deg = min_elevation_deg
-        self.grid_provider = grid_provider
 
     # ------------------------------------------------------------------
     def look_angles_at(self, epoch: Epoch, offsets_s) -> LookAngles:
@@ -184,17 +175,11 @@ class PassPredictor:
         Windows in progress at the span boundaries are clipped and
         flagged via ``clipped_start`` / ``clipped_end``.  ``refine``
         selects the crossing refinement mode (see module docstring).
-        The coarse grid comes from ``grid_provider`` when set; the
-        windows from the one-pair case of the fleet pass search
+        The windows come from the one-pair case of the fleet pass search
         (:meth:`windows_from_coarse`).
         """
         offsets = self.coarse_offsets(duration_s, coarse_step_s)
-        if self.grid_provider is not None:
-            r, v = self.grid_provider(epoch, offsets)
-            elev = look_angles(self.observer, r, v,
-                               epoch.offset_jd(offsets)).elevation_deg
-        else:
-            elev = self.look_angles_at(epoch, offsets).elevation_deg
+        elev = self.look_angles_at(epoch, offsets).elevation_deg
         return self.windows_from_coarse(epoch, offsets, elev,
                                         refine_tol_s=refine_tol_s,
                                         refine=refine)
@@ -222,38 +207,15 @@ class PassPredictor:
         return search.windows()[0]
 
 
-def _interp_crossing(mask: float, t_out: float, t_in: float,
-                     e_out: float, e_in: float) -> float:
-    """Linear interpolation of the mask crossing (no SGP4 calls).
+def _interp_crossing(mask: float, t_out: np.ndarray, t_in: np.ndarray,
+                     e_out: np.ndarray, e_in: np.ndarray) -> np.ndarray:
+    """Linear interpolation of mask crossings (no SGP4 calls).
 
-    ``(t_out, e_out)`` is the below-mask grid sample, ``(t_in,
-    e_in)`` the above-mask one; by construction ``e_in > mask >=
-    e_out`` so the denominator cannot vanish.
+    ``(t_out, e_out)`` and ``(t_in, e_in)`` are adjacent grid samples
+    on opposite sides of the mask, so the denominator cannot vanish.
     """
-    t_out, t_in = float(t_out), float(t_in)
-    e_out, e_in = float(e_out), float(e_in)
     frac = (mask - e_out) / (e_in - e_out)
     return t_out + frac * (t_in - t_out)
-
-
-def _interp_culmination(seg_offsets: np.ndarray, seg_elev: np.ndarray,
-                        rise: float, set_: float) -> tuple:
-    """Closed-form parabolic culmination from the grid samples only."""
-    k = int(np.argmax(seg_elev))
-    t_best = float(seg_offsets[k])
-    el_best = float(seg_elev[k])
-    if 0 < k < len(seg_offsets) - 1:
-        t0, t1, t2 = seg_offsets[k - 1:k + 2]
-        e0, e1, e2 = seg_elev[k - 1:k + 2]
-        denom = (e0 - 2.0 * e1 + e2)
-        if abs(denom) > 1e-12:
-            t_para = float(t1 + 0.5 * (t1 - t0) * (e0 - e2) / denom)
-            t_para = min(max(t_para, float(t0)), float(t2))
-            el_para = float(e1 - 0.125 * (e0 - e2) ** 2 / denom)
-            if el_para > el_best:
-                t_best, el_best = t_para, el_para
-    t_best = min(max(t_best, rise), set_)
-    return t_best, el_best
 
 
 def _clamp(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -353,6 +315,8 @@ class _PassSearch:
 
         Each row must be exact at above-mask samples and their
         neighbours; anything at or below the mask may stand elsewhere.
+        ``interp`` windows are finished here, from the grid samples
+        alone; ``bisect`` ones in :meth:`windows`.
         """
         offsets = self.offsets
         n = offsets.size
@@ -365,13 +329,6 @@ class _PassSearch:
         if not row.size:
             return
         end = np.flatnonzero(edges == -1) % (n + 1)
-        if self.refine == "interp":
-            sats = pair_sat.tolist()
-            for r, i, j in zip(row.tolist(), start.tolist(), end.tolist()):
-                self._out[first + r].append(self._window(
-                    sats[r], *self._interp_segment(elev[r], i, j),
-                    i == 0, j == n))
-            return
         rise, set_ = offsets[start], offsets[end - 1]
         # First maximum of each segment (np.argmax semantics).
         lengths = end - start
@@ -383,44 +340,69 @@ class _PassSearch:
         k = np.minimum.reduceat(np.where(vals == peak[seg], col, n), head)
         t_best, el_best = offsets[k], elev[row, k]
         # Parabolic culmination candidates through the peak's two
-        # neighbours, clamped to the segment's grid span.
+        # neighbours.
         t_para = np.empty(row.size)
         has_para = (k > start) & (k < end - 1)
         idx = np.flatnonzero(has_para)
         kr = row[idx]
-        t0, t1 = offsets[k[idx] - 1], offsets[k[idx]]
+        t0, t1, t2 = (offsets[k[idx] - 1], offsets[k[idx]],
+                      offsets[k[idx] + 1])
         e0, e1, e2 = (elev[kr, k[idx] - 1], elev[kr, k[idx]],
                       elev[kr, k[idx] + 1])
         denom = e0 - 2.0 * e1 + e2
         ok = np.abs(denom) > 1e-12
         has_para[idx[~ok]] = False
         idx = idx[ok]
-        t_para[idx] = _clamp(
-            t1[ok] + 0.5 * (t1[ok] - t0[ok]) * (e0[ok] - e2[ok])
-            / denom[ok], offsets[start[idx]], offsets[end[idx] - 1])
-        self._parts.append((first + row, pair_sat[row], pair_obs[row],
-                            start, end, rise, set_, t_best, el_best,
-                            t_para, has_para))
+        t0, t1, t2, e0, e1, e2, denom = (
+            a[ok] for a in (t0, t1, t2, e0, e1, e2, denom))
+        t_para[idx] = t1 + 0.5 * (t1 - t0) * (e0 - e2) / denom
+        if self.refine == "bisect":
+            # Bisection evaluates the candidate, clamped to the
+            # segment's grid span, in :meth:`windows`.
+            t_para[idx] = _clamp(t_para[idx], offsets[start[idx]],
+                                 offsets[end[idx] - 1])
+            self._parts.append((first + row, pair_sat[row],
+                                pair_obs[row], start, end, rise, set_,
+                                t_best, el_best, t_para, has_para))
+            return
+        # interp: the parabola's vertex, clamped to the peak's
+        # neighbours.  Its elevation squares with libm ``pow`` (``**``
+        # on Python floats) so served culminations stay bit-identical
+        # across releases; NumPy squares arrays by multiplication,
+        # which differs in the last bit for ~0.1 % of inputs.
+        el_para = np.array([b - 0.125 * (a - c) ** 2 / d for a, b, c, d in
+                            zip(e0.tolist(), e1.tolist(), e2.tolist(),
+                                denom.tolist())])
+        wins = el_para > el_best[idx]
+        t_best[idx[wins]] = _clamp(t_para[idx], t0, t2)[wins]
+        el_best[idx[wins]] = el_para[wins]
+        # Linear crossings between the samples either side of the mask.
+        ri = np.flatnonzero(start > 0)
+        si = np.flatnonzero(end < n)
+        rise[ri] = _interp_crossing(
+            self.mask, offsets[start[ri] - 1], offsets[start[ri]],
+            elev[row[ri], start[ri] - 1], elev[row[ri], start[ri]])
+        set_[si] = _interp_crossing(
+            self.mask, offsets[end[si] - 1], offsets[end[si]],
+            elev[row[si], end[si] - 1], elev[row[si], end[si]])
+        self._emit(first + row, pair_sat[row], start, end, rise, set_,
+                   t_best, el_best)
 
-    def _interp_segment(self, elev: np.ndarray, i: int,
-                        j: int) -> tuple:
-        """Closed-form rise, set and culmination of one segment."""
-        t, mask = self.offsets, self.mask
-        rise = t[i] if i == 0 else _interp_crossing(
-            mask, t[i - 1], t[i], elev[i - 1], elev[i])
-        set_ = t[j - 1] if j == t.size else _interp_crossing(
-            mask, t[j - 1], t[j], elev[j - 1], elev[j])
-        return (rise, set_) + _interp_culmination(t[i:j], elev[i:j], rise,
-                                                  set_)
-
-    def _window(self, sat: int, rise: float, set_: float, culm: float,
-                peak: float, clipped_start: bool,
-                clipped_end: bool) -> ContactWindow:
-        return ContactWindow(
-            rise_s=float(rise), set_s=float(set_),
-            culmination_s=float(culm), max_elevation_deg=float(peak),
-            norad_id=self.propagators[sat].tle.norad_id,
-            clipped_start=clipped_start, clipped_end=clipped_end)
+    def _emit(self, pair: np.ndarray, sat: np.ndarray, start: np.ndarray,
+              end: np.ndarray, rise: np.ndarray, set_: np.ndarray,
+              t_best: np.ndarray, el_best: np.ndarray) -> None:
+        """Append one refined window per segment to its pair's list;
+        the culmination is clamped into ``[rise, set]``."""
+        n = self.offsets.size
+        for p, s, r, t_set, culm, peak, c_start, c_end in zip(
+                pair.tolist(), sat.tolist(), rise.tolist(), set_.tolist(),
+                _clamp(t_best, rise, set_).tolist(), el_best.tolist(),
+                (start == 0).tolist(), (end == n).tolist()):
+            self._out[p].append(ContactWindow(
+                rise_s=r, set_s=t_set, culmination_s=culm,
+                max_elevation_deg=peak,
+                norad_id=self.propagators[s].tle.norad_id,
+                clipped_start=c_start, clipped_end=c_end))
 
     # ------------------------------------------------------------------
     def _elevations(self, sat: np.ndarray, obs: np.ndarray,
@@ -479,12 +461,7 @@ class _PassSearch:
             better = el_para > el_best[ci]
             t_best[ci[better]] = t_para[ci[better]]
             el_best[ci[better]] = el_para[better]
-        t_best = _clamp(t_best, rise, set_)
-        for p, *window in zip(
-                pair.tolist(), sat.tolist(), rise.tolist(), set_.tolist(),
-                t_best.tolist(), el_best.tolist(), (start == 0).tolist(),
-                (end == n).tolist()):
-            self._out[p].append(self._window(*window))
+        self._emit(pair, sat, start, end, rise, set_, t_best, el_best)
         return self._out
 
 
@@ -543,18 +520,14 @@ def find_passes_fleet(propagators: Sequence[SGP4],
                       min_elevation_deg: float = 0.0,
                       refine_tol_s: float = 0.5,
                       refine: str = "bisect",
-                      fleet_grid_provider=None,
                       geometry: Optional[Sequence[tuple]] = None,
                       ) -> List[List[List[ContactWindow]]]:
     """Contact windows of N satellites over M observers: the pass search.
 
     The fleet is propagated in one :class:`SGP4Batch` call over one
-    shared coarse grid, or taken from ``fleet_grid_provider(epoch,
-    offsets) -> (r, v)`` whose ``(N, T, 3)`` row ``n`` must equal what
-    ``propagators[n].propagate`` would produce (see
-    :meth:`satiot.runtime.EphemerisCache.fleet_grid_provider`).  GMST
-    and TEME→ECEF run once per grid and every crossing of every pair is
-    refined in lockstep (:class:`_PassSearch`).  ``geometry`` may carry
+    shared coarse grid.  GMST and TEME→ECEF run once per grid and every
+    crossing of every pair is refined in lockstep
+    (:class:`_PassSearch`).  ``geometry`` may carry
     :func:`observer_geometry` output to amortize site/rotation setup.
 
     Returns ``results[n][m]``: the windows of satellite ``n`` over
@@ -567,16 +540,8 @@ def find_passes_fleet(propagators: Sequence[SGP4],
     if not observers:
         return [[] for _ in propagators]
     offsets = PassPredictor.coarse_offsets(duration_s, coarse_step_s)
-    batch = None
-    if fleet_grid_provider is not None:
-        r, _ = fleet_grid_provider(epoch, offsets)
-    else:
-        batch = SGP4Batch.from_propagators(propagators)
-        r, _ = batch.propagate_offsets(epoch, offsets)
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 3 or r.shape[0] != len(propagators):
-        raise ValueError(
-            f"fleet grid must have shape (N, T, 3), got {r.shape}")
+    batch = SGP4Batch.from_propagators(propagators)
+    r, _ = batch.propagate_offsets(epoch, offsets)
     # One GMST + one rotation for the whole (N, T, 3) stack: the jd row
     # broadcasts across satellites, so the trigonometry runs once.
     r_ecef = teme_to_ecef(r, epoch.offset_jd(offsets))

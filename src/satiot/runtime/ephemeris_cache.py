@@ -6,11 +6,10 @@ position/velocity grid is recomputed for all eight sites even though the
 TEME-frame ephemeris does not depend on the observer at all.  This
 module removes that redundancy with two memoized products:
 
-* **propagation grids** — the ``(r, v)`` TEME state sampled on the
-  coarse time grid, keyed by ``(TLE fingerprint, epoch, grid shape)``
-  and shared across *all* sites of a campaign.  A whole-fleet
-  **constellation grid** stacks them as ``(N, T, 3)`` arrays, and each
-  of its rows is published as a view under the satellite's own key;
+* **propagation grids** — the ``(r, v)`` TEME state of a fleet
+  sampled on the coarse time grid as ``(N, T, 3)`` stacks, keyed by
+  ``(fleet fingerprint, epoch, grid)`` and shared across *all* sites of
+  a campaign.  A single satellite's grid is the N=1 stack;
 * **pass predictions** — the refined :class:`ContactWindow` list of one
   satellite over one observer, keyed by ``(TLE fingerprint, epoch,
   duration, step, elevation mask, quantized location, refine
@@ -21,8 +20,9 @@ Cache lookups are exact — keys incorporate every input that influences
 the cached value — so a hit returns arrays that are bit-identical to a
 fresh computation, preserving the runtime's determinism contract.
 
-Both products live in an in-memory LRU tier.  Grids — and only grids —
-also have an on-disk tier, enabled with ``disk_dir=`` or the
+Both products live in an in-memory LRU tier; the grid LRU is bounded
+in satellites, an ``(N, T, 3)`` stack counting N.  Grids — and only
+grids — also have an on-disk tier, enabled with ``disk_dir=`` or the
 ``SATIOT_EPHEMERIS_CACHE_DIR`` environment variable: every grid is
 written once as a *segment*, the ``(N, T, 3)`` position/velocity stacks
 as raw ``.npy`` files plus a SHA-256 sidecar, in a deterministic layout
@@ -55,7 +55,7 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -127,8 +127,7 @@ class CacheStats:
     #: Disk-tier I/O errors swallowed (read-only dir, full disk, ...).
     disk_errors: int = 0
     #: Approximate resident bytes of the in-memory grid tier, refreshed
-    #: by :meth:`EphemerisCache.grid_resident_bytes` (views into a
-    #: shared constellation stack are counted once).
+    #: by :meth:`EphemerisCache.grid_resident_bytes`.
     grid_bytes: int = 0
     #: Of :attr:`grid_bytes`: bytes owned privately by this process.
     grid_private_bytes: int = 0
@@ -165,9 +164,11 @@ class EphemerisCache:
     Parameters
     ----------
     max_grids:
-        In-memory LRU capacity for propagation grids.  A 3-day campaign
-        at 30 s steps is ~8.6 k samples → ~400 kB per satellite, so the
-        default comfortably holds every satellite of the study.
+        In-memory LRU capacity for propagation grids, in satellite
+        grids: an ``(N, T, 3)`` stack counts N.  A 3-day campaign at
+        30 s steps is ~8.6 k samples → ~400 kB per satellite, so the
+        default comfortably holds every satellite of the study.  A
+        stack larger than the capacity is kept alone.
     max_pass_lists:
         In-memory LRU capacity for per-(satellite, site) pass lists;
         these are tiny (a few windows each).
@@ -199,32 +200,15 @@ class EphemerisCache:
     # Keys
     # ------------------------------------------------------------------
     @staticmethod
-    def _grid_id(epoch: Epoch, offsets: np.ndarray) -> tuple:
-        """The (epoch, offsets) part shared by every grid key."""
+    def constellation_key(tles: Sequence[TLE], epoch: Epoch,
+                          offsets: np.ndarray) -> tuple:
+        """Key of one ``(N, T, 3)`` propagation stack, in the memory
+        and segment tiers alike (N=1 for a single satellite): the joint
+        fleet fingerprint, the epoch and a digest of the offsets."""
         offsets = np.ascontiguousarray(offsets, dtype=float)
         content = hashlib.sha1(offsets.tobytes()).hexdigest()[:16]
-        return (round(float(epoch.jd), 9), int(offsets.size), content)
-
-    @classmethod
-    def grid_key(cls, tle: TLE, epoch: Epoch,
-                 offsets: np.ndarray) -> tuple:
-        """Memory key of one satellite's ``(T, 3)`` grid."""
-        return ("grid", tle_fingerprint(tle)) + cls._grid_id(epoch,
-                                                             offsets)
-
-    @classmethod
-    def constellation_key(cls, tles: Sequence[TLE], epoch: Epoch,
-                          offsets: np.ndarray) -> tuple:
-        """Key of one whole-fleet ``(N, T, 3)`` propagation stack.
-
-        Mirrors :meth:`grid_key` (same epoch rounding and offsets
-        digest) with the joint fleet fingerprint, so the constellation
-        entry and its per-satellite row entries always agree on the
-        grid they describe.  Segments are stored under this key — for
-        a single satellite too, as an N=1 stack.
-        """
-        return ("cgrid", constellation_fingerprint(tles)) + \
-            cls._grid_id(epoch, offsets)
+        return ("cgrid", constellation_fingerprint(tles),
+                round(float(epoch.jd), 9), int(offsets.size), content)
 
     @staticmethod
     def pass_key(tle: TLE, observer: GeodeticPoint, epoch: Epoch,
@@ -244,48 +228,11 @@ class EphemerisCache:
     def propagation_grid(self, propagator: SGP4, epoch: Epoch,
                          offsets_s: Sequence[float],
                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """TEME ``(r, v)`` of ``propagator`` at ``epoch + offsets_s``.
+        """TEME ``(r, v)`` of ``propagator`` at ``epoch + offsets_s``:
+        row 0 of ``constellation_grid([propagator], ...)``."""
+        r, v = self.constellation_grid([propagator], epoch, offsets_s)
+        return r[0], v[0]
 
-        Bit-identical to ``propagator.propagate(...)`` on the same
-        instants; hits skip the SGP4 evaluation entirely.  On disk the
-        grid is the N=1 segment that ``constellation_grid([propagator],
-        ...)`` reads and writes, so either call finds the other's file.
-        """
-        offsets = np.asarray(offsets_s, dtype=float)
-        key = self.grid_key(propagator.tle, epoch, offsets)
-        cached = self._lru_get(self._grids, key)
-        if cached is not None:
-            self.stats.grid_hits += 1
-            return cached
-        segment_key = self.constellation_key([propagator.tle], epoch,
-                                             offsets)
-        segment = self._segment_load(segment_key)
-        if segment is not None:
-            self.stats.grid_hits += 1
-            self.stats.disk_hits += 1
-            grid = (segment[0][0], segment[1][0])
-        else:
-            self.stats.grid_misses += 1
-            tsince = float(epoch - propagator.tle.epoch) + offsets
-            r, v = propagator.propagate(tsince)
-            grid = (np.asarray(r, dtype=float),
-                    np.asarray(v, dtype=float))
-            self._segment_store(segment_key, grid[0][np.newaxis],
-                                grid[1][np.newaxis])
-        self._lru_put(self._grids, key, grid, self.max_grids)
-        return grid
-
-    def grid_provider(self, propagator: SGP4,
-                      ) -> Callable[[Epoch, np.ndarray],
-                                    Tuple[np.ndarray, np.ndarray]]:
-        """A ``PassPredictor``-compatible coarse-grid provider."""
-        def provider(epoch: Epoch, offsets: np.ndarray):
-            return self.propagation_grid(propagator, epoch, offsets)
-        return provider
-
-    # ------------------------------------------------------------------
-    # Constellation grids
-    # ------------------------------------------------------------------
     def constellation_grid(self, propagators: Sequence[SGP4],
                            epoch: Epoch, offsets_s: Sequence[float],
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -293,12 +240,9 @@ class EphemerisCache:
 
         Row ``n`` is bit-identical to
         ``propagators[n].propagate(...)`` on the same instants (the
-        :class:`~satiot.orbits.sgp4_batch.SGP4Batch` contract).  The
-        stack is cached under the constellation key **and** every row
-        is published as a view under the corresponding single-satellite
-        :meth:`grid_key` — so later single-satellite lookups hit the
-        fleet fill.  A fill adopts rows already in the memory tier
-        instead of re-propagating them, and writes the whole stack
+        :class:`~satiot.orbits.sgp4_batch.SGP4Batch` contract).  A miss
+        extends the fleet's previous grid when that is a prefix, or
+        propagates the fleet in one batch, and writes the stack
         **once** as an mmap-able segment: every later load (in this or
         any other process) returns read-only views into one shared
         mapping instead of a private copy.
@@ -306,57 +250,26 @@ class EphemerisCache:
         offsets = np.asarray(offsets_s, dtype=float)
         propagators = list(propagators)
         tles = [p.tle for p in propagators]
-        ckey = self.constellation_key(tles, epoch, offsets)
-        cached = self._lru_get(self._grids, ckey)
-        if cached is not None:
+        key = self.constellation_key(tles, epoch, offsets)
+        grid = self._lru_get(self._grids, key)
+        if grid is not None:
             self.stats.grid_hits += 1
-            self._record_extent(tles, epoch, offsets)
-            return cached
-        row_keys = [self.grid_key(t, epoch, offsets) for t in tles]
-        segment = self._segment_load(ckey)
-        if segment is not None:
-            self.stats.grid_hits += 1
-            self.stats.disk_hits += 1
-            r, v = segment
         else:
-            grid = self._extend_from_prefix(propagators, tles, epoch,
-                                            offsets)
-            if grid is None:
-                grid = self._fill(propagators, row_keys, epoch, offsets)
-            r, v = grid
-            self._segment_store(ckey, r, v)
-        # Row views share the stack's memory: the grid tier holds one
-        # (N, T, 3) buffer, not N+1 copies (grid_resident_bytes counts
-        # the base buffer once).
-        for i, key in enumerate(row_keys):
-            self._lru_put(self._grids, key, (r[i], v[i]), self.max_grids)
-        self._lru_put(self._grids, ckey, (r, v), self.max_grids)
-        self._record_extent(tles, epoch, offsets)
-        return r, v
-
-    def _fill(self, propagators: Sequence[SGP4], row_keys: Sequence[tuple],
-              epoch: Epoch, offsets: np.ndarray,
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble a fleet stack: rows found in the memory tier are
-        adopted, the rest are propagated in one batch."""
-        n = len(propagators)
-        r = np.empty((n, offsets.size, 3), dtype=float)
-        v = np.empty((n, offsets.size, 3), dtype=float)
-        missing: List[int] = []
-        for i, key in enumerate(row_keys):
-            hit = self._lru_get(self._grids, key)
-            if hit is None:
-                missing.append(i)
+            grid = self._segment_load(key)
+            if grid is not None:
+                self.stats.grid_hits += 1
+                self.stats.disk_hits += 1
             else:
-                r[i], v[i] = hit
-        self.stats.grid_hits += n - len(missing)
-        if missing:
-            self.stats.grid_misses += len(missing)
-            batch = SGP4Batch.from_propagators(
-                [propagators[i] for i in missing])
-            r[missing], v[missing] = batch.propagate_offsets(epoch,
-                                                             offsets)
-        return r, v
+                grid = self._extend_from_prefix(propagators, tles, epoch,
+                                                offsets)
+                if grid is None:
+                    self.stats.grid_misses += len(propagators)
+                    grid = SGP4Batch.from_propagators(
+                        propagators).propagate_offsets(epoch, offsets)
+                self._segment_store(key, *grid)
+            self._put_grid(key, grid)
+        self._record_extent(tles, epoch, offsets)
+        return grid
 
     # ------------------------------------------------------------------
     # Incremental extension (digital-twin serving)
@@ -456,16 +369,6 @@ class EphemerisCache:
                 self._record_extent(tles, epoch, prefix)
         return self.constellation_grid(propagators, epoch, offsets_s)
 
-    def fleet_grid_provider(self, propagators: Sequence[SGP4],
-                            ) -> Callable[[Epoch, np.ndarray],
-                                          Tuple[np.ndarray, np.ndarray]]:
-        """A ``find_passes_fleet``-compatible fleet grid provider."""
-        propagators = list(propagators)
-
-        def provider(epoch: Epoch, offsets: np.ndarray):
-            return self.constellation_grid(propagators, epoch, offsets)
-        return provider
-
     # ------------------------------------------------------------------
     # Pass predictions (memory tier only)
     # ------------------------------------------------------------------
@@ -475,23 +378,13 @@ class EphemerisCache:
                     min_elevation_deg: float = 0.0,
                     refine_tol_s: float = 0.5,
                     refine: str = "bisect") -> List[ContactWindow]:
-        """Cached equivalent of ``PassPredictor.find_passes``."""
-        key = self.pass_key(propagator.tle, observer, epoch, duration_s,
-                            coarse_step_s, min_elevation_deg,
-                            refine_tol_s, refine)
-        cached = self._lookup_passes(key)
-        if cached is not None:
-            return list(cached)
-        self.stats.pass_misses += 1
-        predictor = PassPredictor(propagator, observer,
-                                  min_elevation_deg,
-                                  grid_provider=self.grid_provider(
-                                      propagator))
-        windows = tuple(predictor.find_passes(
-            epoch, duration_s, coarse_step_s=coarse_step_s,
-            refine_tol_s=refine_tol_s, refine=refine))
-        self._lru_put(self._pass_lists, key, windows, self.max_pass_lists)
-        return list(windows)
+        """Cached windows of one satellite over one observer: the
+        one-pair case of :meth:`find_passes_fleet`."""
+        return self.find_passes_fleet(
+            [propagator], [observer], epoch, duration_s,
+            coarse_step_s=coarse_step_s,
+            min_elevation_deg=min_elevation_deg,
+            refine_tol_s=refine_tol_s, refine=refine)[0][0]
 
     def find_passes_fleet(self, propagators: Sequence[SGP4],
                           observers: Sequence[GeodeticPoint],
@@ -504,11 +397,10 @@ class EphemerisCache:
                           ) -> List[List[List[ContactWindow]]]:
         """Cached fleet pass prediction: ``results[sat][observer]``.
 
-        Every (satellite, observer) window list hits the **same** cache
-        entries as serial :meth:`find_passes` calls — key compatibility
-        rests on a pair's windows not depending on the search that
-        computed them.  Missing pairs are computed by one pass search:
-        one cached :meth:`constellation_grid` fill, one shared
+        Pass lists are cached per (satellite, observer) pair, whatever
+        search computed them: a pair's windows do not depend on the
+        other pairs searched.  Missing pairs are computed by one pass
+        search: one cached :meth:`constellation_grid` fill, one shared
         TEME→ECEF conversion (GMST evaluated once) restricted to the
         satellites that actually miss, and lockstep refinement of every
         missing pair's crossings.
@@ -544,16 +436,16 @@ class EphemerisCache:
                 len(missing_by_sat[i]) for i in miss_sats)
             offsets = PassPredictor.coarse_offsets(duration_s,
                                                    coarse_step_s)
+            search = _PassSearch(
+                epoch, offsets, [propagators[i] for i in miss_sats],
+                observers, min_elevation_deg, refine_tol_s, refine,
+                geometry=geometry)
             r, _ = self.constellation_grid(propagators, epoch, offsets)
             jd = epoch.offset_jd(offsets)
             # One GMST + rotation for all satellites that miss.
             r_ecef = teme_to_ecef(r[miss_sats], jd)
             pairs = [(row, m) for row, i in enumerate(miss_sats)
                      for m in missing_by_sat[i]]
-            search = _PassSearch(
-                epoch, offsets, [propagators[i] for i in miss_sats],
-                observers, min_elevation_deg, refine_tol_s, refine,
-                geometry=geometry)
             search.add_pairs(r_ecef, [row for row, _ in pairs],
                              [m for _, m in pairs])
             for (row, m), windows in zip(pairs, search.windows()):
@@ -591,6 +483,21 @@ class EphemerisCache:
         while len(store) > capacity:
             store.popitem(last=False)
 
+    def _put_grid(self, key: tuple,
+                  grid: Tuple[np.ndarray, np.ndarray]) -> None:
+        """Insert an ``(N, T, 3)`` stack, charging N of ``max_grids``.
+
+        Older stacks are evicted until the satellites held fit; the
+        stack just inserted is never evicted, so a fill of more than
+        ``max_grids`` satellites stays cached alone.
+        """
+        self._grids[key] = grid
+        self._grids.move_to_end(key)
+        load = sum(len(r) for r, _ in self._grids.values())
+        while load > self.max_grids and len(self._grids) > 1:
+            _, (r, _) = self._grids.popitem(last=False)
+            load -= len(r)
+
     def clear_memory(self) -> None:
         """Drop the in-memory tier (the disk tier is untouched)."""
         self._grids.clear()
@@ -600,34 +507,25 @@ class EphemerisCache:
     def grid_resident_bytes(self) -> int:
         """Approximate resident bytes of the in-memory grid tier.
 
-        Sums ``nbytes`` over the distinct *base* buffers of every
-        cached array, so the N row views published by
-        :meth:`constellation_grid` and their shared ``(N, T, 3)`` stack
-        count once.  Buffers backed by mmap'd segments are tallied
-        separately (:attr:`CacheStats.grid_mmap_bytes`): those pages
-        are resident **once machine-wide**, no matter how many worker
-        processes map them, while :attr:`CacheStats.grid_private_bytes`
-        is paid per process.  Refreshes :attr:`CacheStats.grid_bytes`.
+        Sums ``nbytes`` over every cached stack.  Stacks backed by
+        mmap'd segments are tallied separately
+        (:attr:`CacheStats.grid_mmap_bytes`): those pages are resident
+        **once machine-wide**, no matter how many worker processes map
+        them, while :attr:`CacheStats.grid_private_bytes` is paid per
+        process.  Refreshes :attr:`CacheStats.grid_bytes`.
 
         Safe to call from another thread while a batch fills the LRU
         (the serving ``/metrics`` path): it walks a snapshot of the
         entries taken in one call, never the live ``OrderedDict``.
         """
-        seen = set()
         private = 0
         shared = 0
-        for r, v in tuple(self._grids.values()):
-            for arr in (r, v):
-                base = arr
-                while isinstance(base.base, np.ndarray):
-                    base = base.base
-                if id(base) in seen:
-                    continue
-                seen.add(id(base))
-                if isinstance(base, np.memmap):
-                    shared += base.nbytes
+        for grid in tuple(self._grids.values()):
+            for arr in grid:
+                if isinstance(arr, np.memmap):
+                    shared += arr.nbytes
                 else:
-                    private += base.nbytes
+                    private += arr.nbytes
         self.stats.grid_private_bytes = private
         self.stats.grid_mmap_bytes = shared
         self.stats.grid_bytes = private + shared

@@ -4,7 +4,9 @@ Fleet queries exhibit strong geographic locality: thousands of deployed
 nodes share a handful of deployment regions, and a pass prediction for
 (47.37°N, 8.54°E) is equally valid a few hundred metres away.  The
 serving layer therefore quantizes request coordinates (default 0.01°,
-~1.1 km) and caches the *response payload* under the quantized key.
+~1.1 km) and caches the *encoded response body* under the quantized
+key: the JSON bytes are a few times smaller than the payload objects
+they encode, and a hit sends them without encoding again.
 
 Entries expire after ``ttl_s`` (ephemerides age; default 60 s) and the
 cache is LRU-bounded at ``max_entries``.  Expired entries are evicted
@@ -28,7 +30,7 @@ def quantize_coord(value: float, decimals: int = 2) -> float:
 
 
 class ResultCache:
-    """Bounded TTL+LRU mapping from request keys to response payloads."""
+    """Bounded TTL+LRU mapping from request keys to response bodies."""
 
     def __init__(self, max_entries: int = 4096, ttl_s: float = 60.0,
                  clock: Optional[Callable[[], float]] = None) -> None:
@@ -50,7 +52,7 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable) -> Optional[Any]:
-        """Cached payload for ``key``, or ``None`` on miss/expiry."""
+        """Cached value for ``key``, or ``None`` on miss/expiry."""
         entry = self._entries.get(key)
         now = self._clock()
         if entry is not None and now - entry[0] <= self.ttl_s:

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from urllib.parse import parse_qsl, urlsplit
 
-__all__ = ["HTTPError", "HTTPRequest", "read_request",
+__all__ = ["HTTPError", "HTTPRequest", "read_request", "encode_json",
            "json_response", "text_response", "STATUS_PHRASES"]
 
 MAX_REQUEST_LINE = 8192
@@ -185,11 +185,18 @@ def _response(status: int, body: bytes, content_type: str,
     return head + body
 
 
+def encode_json(payload: object) -> bytes:
+    """The compact, strict (no NaN) UTF-8 JSON body of a response."""
+    return json.dumps(payload, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
+
+
 def json_response(status: int, payload: object,
                   extra_headers: Optional[Dict[str, str]] = None,
                   keep_alive: bool = True) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8")
+    """Frame ``payload`` as a JSON response; ``bytes`` are a body
+    :func:`encode_json` already produced and are sent as they are."""
+    body = payload if isinstance(payload, bytes) else encode_json(payload)
     return _response(status, body, "application/json",
                      extra_headers, keep_alive)
 

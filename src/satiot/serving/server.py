@@ -6,7 +6,7 @@ Request lifecycle::
          → result-cache probe (quantized key)
          → micro-batcher submit  ── full? → 429 + Retry-After
          → [batch flushed → worker thread → NumPy/SGP4]
-         → respond, populate cache, record metrics
+         → encode once, populate cache, respond, record metrics
 
 ``/healthz`` and ``/metrics`` never enter the batcher, so the service
 stays observable under overload — the event loop only ever blocks on
@@ -33,13 +33,13 @@ import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from .batcher import MicroBatcher, QueueFullError
 from .cache import ResultCache
 from ..faults import fault_fires, get_default_plane
-from .http import (HTTPError, HTTPRequest, json_response, read_request,
-                   text_response)
+from .http import (HTTPError, HTTPRequest, encode_json, json_response,
+                   read_request, text_response)
 from ..runtime.telemetry import render_fixed_table
 from ..twin.clock import SimClock
 from .metrics import ServingMetrics
@@ -120,8 +120,7 @@ class ServingServer:
         self.service = service or ConstellationService(
             constellations=self.config.constellations,
             coarse_step_s=self.config.coarse_step_s,
-            providers=self.config.providers,
-            realtime=self.config.realtime)
+            providers=self.config.providers)
         self.clock: Optional[SimClock] = None
         if self.config.realtime:
             self.clock = SimClock(rate=self.config.rate,
@@ -379,7 +378,9 @@ class ServingServer:
     # Query endpoints
     # ------------------------------------------------------------------
     async def _query(self, request: HTTPRequest, endpoint: str,
-                     request_type) -> Tuple[int, dict]:
+                     request_type) -> Tuple[int, Union[dict, bytes]]:
+        """Status and payload of one query; a 200 carries its encoded
+        body, which the result cache keeps for later hits."""
         if request.method not in ("GET", "POST"):
             return 405, {"error": f"method {request.method} not allowed"}
         try:
@@ -416,5 +417,6 @@ class ServingServer:
             raise
         except Exception as exc:  # handler fault → contained 500
             return 500, {"error": f"internal error: {exc}"}
-        self.cache.put(key, payload)
-        return 200, payload
+        body = encode_json(payload)
+        self.cache.put(key, body)
+        return 200, body

@@ -10,17 +10,16 @@ concurrent requests into shared array work:
 * ``link_budget_batch`` — instantaneous per-satellite geometry, RSSI
   breakdown, link margin, Doppler and airtime at one instant.
 
-Batched requests that share query parameters are grouped and answered
-through the fleet fast path
+Batched requests that share query parameters are grouped, and every
+group — a lone observer too — is answered by one fleet pass search
 (:meth:`satiot.runtime.EphemerisCache.find_passes_fleet`): the whole
-constellation is propagated as one struct-of-arrays
-:class:`~satiot.orbits.sgp4_batch.SGP4Batch` call over the shared
-grid, with GMST and the TEME→ECEF conversion computed once per group
-rather than once per satellite.  A group of one observer goes through
-per-satellite :meth:`~satiot.runtime.EphemerisCache.find_passes`
-lookups — a pair's windows do not depend on the search that computed
-them, so both paths produce identical windows and share cache
-entries, and mixing them is safe.
+constellation is one cached ``(N, T, 3)`` grid, propagated as one
+struct-of-arrays :class:`~satiot.orbits.sgp4_batch.SGP4Batch` call,
+with GMST and the TEME→ECEF conversion computed once per group rather
+than once per satellite.  A pair's windows do not depend on the other
+pairs searched, so a response is the same whichever requests shared
+its batch.  ``link_budget_batch`` reads the same grid tier at its one
+instant.
 
 All handlers are synchronous and thread-safe under the serving layer's
 single-worker executor (one batch in flight at a time per batcher).
@@ -381,16 +380,10 @@ class ConstellationService:
                  epochyr: int = 24, epochdays: float = 245.0,
                  seed: int = 7,
                  extra: Sequence[Constellation] = (),
-                 providers: Optional[Sequence[str]] = None,
-                 realtime: bool = False) -> None:
+                 providers: Optional[Sequence[str]] = None) -> None:
         if coarse_step_s <= 0:
             raise ValueError("coarse_step_s must be positive")
         self.coarse_step_s = float(coarse_step_s)
-        # Digital-twin mode: consecutive ``start=now`` queries produce
-        # strictly growing spans, so even single-observer groups are
-        # routed through the constellation-batched fleet path — that is
-        # the path whose grids the ephemeris tier extends incrementally.
-        self.realtime = bool(realtime)
         self.refine = refine
         self.refine_tol_s = float(refine_tol_s)
         self.ephemeris = ephemeris or EphemerisCache()
@@ -512,35 +505,19 @@ class ConstellationService:
         horizon_s = float(start_s) + float(horizon_s)
         per_observer: List[List[ContactWindow]] = \
             [[] for _ in observers]
-        if len(observers) == 1 and not self.realtime:
-            # Per-satellite path for a lone observer: identical windows
-            # to the fleet search, and the honest baseline for the
-            # unbatched serving mode.  Realtime twins skip it — only
-            # the constellation-batched path below publishes the grids
-            # the incremental extension tier grows.
-            for sat in const:
-                windows = self.ephemeris.find_passes(
-                    sat.propagator, observers[0], epoch, horizon_s,
-                    coarse_step_s=self.coarse_step_s,
-                    min_elevation_deg=min_elevation_deg,
-                    refine_tol_s=self.refine_tol_s, refine=self.refine)
-                per_observer[0].extend(windows)
-        else:
-            # Fleet flush: all N satellites x M observers through one
-            # constellation-batched propagation, one GMST/ECEF pass and
-            # one shared observer-geometry precompute.  Extension stays
-            # satellite-major, so responses are byte-identical to the
-            # per-satellite loop above (stable rise-time sort).
-            geometry = observer_geometry(observers)
-            per_sat = self.ephemeris.find_passes_fleet(
-                [sat.propagator for sat in const], observers, epoch,
-                horizon_s, coarse_step_s=self.coarse_step_s,
-                min_elevation_deg=min_elevation_deg,
-                refine_tol_s=self.refine_tol_s, refine=self.refine,
-                geometry=geometry)
-            for rows in per_sat:
-                for windows, acc in zip(rows, per_observer):
-                    acc.extend(windows)
+        # All N satellites x M observers through one cached
+        # constellation grid, one GMST/ECEF pass and one shared
+        # observer-geometry precompute.  Extension is satellite-major
+        # and the rise-time sort stable, so ties keep satellite order.
+        per_sat = self.ephemeris.find_passes_fleet(
+            [sat.propagator for sat in const], observers, epoch,
+            horizon_s, coarse_step_s=self.coarse_step_s,
+            min_elevation_deg=min_elevation_deg,
+            refine_tol_s=self.refine_tol_s, refine=self.refine,
+            geometry=observer_geometry(observers))
+        for rows in per_sat:
+            for windows, acc in zip(rows, per_observer):
+                acc.extend(windows)
         for acc in per_observer:
             acc.sort(key=lambda w: w.rise_s)
         return per_observer
@@ -815,17 +792,13 @@ class ConstellationService:
             const = self.constellation(group[0].constellation)
             epoch = self.epoch(group[0].constellation)
             t = group[0].t_offset_s
-            # Observer-independent work, once per group: propagate every
-            # satellite to t and convert the stacked states to ECEF in
-            # one vectorized call (shared instant → shared GMST).
-            r_teme = np.empty((len(const), 3))
-            v_teme = np.empty((len(const), 3))
-            for row, sat in enumerate(const):
-                r, v = self.ephemeris.propagation_grid(
-                    sat.propagator, epoch, [t])
-                r_teme[row] = r[0]
-                v_teme[row] = v[0]
-            r_ecef, v_ecef = ecef_states(r_teme, v_teme,
+            # Observer-independent work, once per group: the fleet's
+            # states at t (one cached grid of one instant), converted
+            # to ECEF in one vectorized call (shared instant → shared
+            # GMST).
+            r, v = self.ephemeris.constellation_grid(
+                [sat.propagator for sat in const], epoch, [t])
+            r_ecef, v_ecef = ecef_states(r[:, 0], v[:, 0],
                                          epoch.offset_jd(t))
             for request, index in zip(group, indices):
                 results[index] = self._link_budget_payload(

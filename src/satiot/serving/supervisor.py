@@ -198,8 +198,7 @@ def _build_worker_service(config: ServingConfig, fleet: FleetConfig,
     return ConstellationService(
         constellations=config.constellations,
         ephemeris=ephemeris, coarse_step_s=config.coarse_step_s,
-        extra=extra, providers=config.providers,
-        realtime=config.realtime)
+        extra=extra, providers=config.providers)
 
 
 def _worker_main(worker_id: int, config: ServingConfig,

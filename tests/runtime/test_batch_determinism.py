@@ -1,13 +1,13 @@
-"""Batched/unbatched determinism + constellation-grid key compatibility.
+"""Batched/unbatched determinism + constellation-grid exactness.
 
 The fleet pass search refines the crossings of every pair it is given
 in lockstep.  A pair's windows must not depend on which other pairs
 share its search: every consumer — campaign scheduler, serving flush —
 must produce **byte-identical** output whether its pairs are searched
-together ("batching on") or one pair per search ("off", the
-per-satellite :meth:`EphemerisCache.find_passes` path).  These tests
-pin that contract, plus the cache-key compatibility that lets fleet
-fills satisfy single-satellite lookups.
+together ("batching on") or in smaller searches ("off": one pair per
+:meth:`EphemerisCache.find_passes` call, or one request per serving
+batch).  These tests pin that contract, plus the bit-identity of the
+cached constellation grid to per-satellite propagation.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _observer_params():
 
 def _serve(handler: str, requests, batch: bool):
     """Answer requests as one micro-batch (a fleet flush over every
-    observer) or one request per batch (the lone-observer path)."""
+    observer) or one request per batch (a one-observer search each)."""
     service = ConstellationService(coarse_step_s=60.0,
                                    refine="bisect")
     answer = getattr(service, handler)
@@ -111,7 +111,7 @@ class TestServingBatchingDeterminism:
 
 
 class TestConstellationGridKeyCompat:
-    """Fleet fills and single-satellite lookups share one key space."""
+    """Fleet grids are exact and shared by the fleet pass search."""
 
     @pytest.fixture()
     def fleet(self):
@@ -121,40 +121,12 @@ class TestConstellationGridKeyCompat:
         offsets = np.arange(0.0, 3600.0 + 1e-9, 60.0)
         return props, epoch, offsets
 
-    def test_fleet_fill_satisfies_single_sat_lookup(self, fleet):
-        props, epoch, offsets = fleet
-        cache = EphemerisCache()
-        r, v = cache.constellation_grid(props, epoch, offsets)
-        assert r.shape == (len(props), offsets.size, 3)
-        misses = cache.stats.grid_misses
-        for i, prop in enumerate(props):
-            ri, vi = cache.propagation_grid(prop, epoch, offsets)
-            assert np.array_equal(ri, r[i])
-            assert np.array_equal(vi, v[i])
-            # Row entries are views of the fleet stack, not copies.
-            assert ri.base is not None
-        assert cache.stats.grid_misses == misses  # all hits
-
-    def test_single_sat_fills_adopted_into_stack(self, fleet):
-        props, epoch, offsets = fleet
-        cache = EphemerisCache()
-        pre = [cache.propagation_grid(p, epoch, offsets)
-               for p in props[:3]]
-        misses = cache.stats.grid_misses
-        r, v = cache.constellation_grid(props, epoch, offsets)
-        # Only the satellites not already cached were propagated.
-        assert cache.stats.grid_misses == misses + len(props) - 3
-        for i, (ri, vi) in enumerate(pre):
-            assert np.array_equal(r[i], ri)
-            assert np.array_equal(v[i], vi)
-
     def test_grid_resident_bytes_dedupes_views(self, fleet):
         props, epoch, offsets = fleet
         cache = EphemerisCache()
         r, v = cache.constellation_grid(props, epoch, offsets)
         resident = cache.grid_resident_bytes()
-        # One (N, T, 3) stack pair, counted once despite N row views
-        # plus the stack entry itself living in the LRU.
+        # One (N, T, 3) stack pair: the grid tier holds no row copies.
         assert resident == r.nbytes + v.nbytes
         assert cache.stats.grid_bytes == resident
 

@@ -91,7 +91,10 @@ class TestCorruptEntries:
         """An entry of the old ``.npz`` format under the name it used
         is neither read nor quarantined: the grid is recomputed and
         written as a segment beside it."""
-        key = EphemerisCache.grid_key(sat.tle, sat.tle.epoch, OFFSETS)
+        # The key the old per-satellite grid tier named its files by.
+        key = ("grid", sat.tle.fingerprint,
+               round(float(sat.tle.epoch.jd), 9), OFFSETS.size,
+               hashlib.sha1(OFFSETS.tobytes()).hexdigest()[:16])
         name = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
         legacy = tmp_path / f"grid-{name}.npz"
         np.savez(legacy, r=np.zeros((OFFSETS.size, 3)),

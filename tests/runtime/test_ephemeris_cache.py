@@ -90,9 +90,10 @@ if HAS_HYPOTHESIS:
         def test_grid_key_stable_under_roundtrip(self, tle):
             offsets = np.arange(0.0, 600.0, 30.0)
             epoch = tle.epoch
-            assert EphemerisCache.grid_key(tle, epoch, offsets) \
-                == EphemerisCache.grid_key(_roundtrip(tle), epoch,
-                                           offsets)
+            assert EphemerisCache.constellation_key([tle], epoch,
+                                                    offsets) \
+                == EphemerisCache.constellation_key([_roundtrip(tle)],
+                                                    epoch, offsets)
 
 
 class TestPropagationGrid:
@@ -139,6 +140,41 @@ class TestPropagationGrid:
         # Newest grid survived.
         cache.propagation_grid(sat, tle.epoch, grids[2])
         assert cache.stats.grid_hits == 1
+
+    def test_stacks_cost_their_satellite_count(self):
+        """``max_grids`` counts satellites: a stack of N costs N, and
+        stacks are evicted oldest first until the count fits."""
+        props = [SGP4(make_test_tle(norad_id=44100 + i,
+                                    raan_deg=40.0 * i))
+                 for i in range(3)]
+        epoch = props[0].tle.epoch
+        a = np.arange(0.0, 300.0, 30.0)
+        b = a + 15.0
+        cache = EphemerisCache(max_grids=4)
+        cache.constellation_grid(props[:2], epoch, a)  # 2 of 4
+        cache.constellation_grid(props[:2], epoch, b)  # 4 of 4
+        cache.constellation_grid(props[2:], epoch, a)  # 5: evict (a)
+        misses = cache.stats.grid_misses
+        cache.constellation_grid(props[:2], epoch, b)
+        assert cache.stats.grid_misses == misses
+        cache.constellation_grid(props[:2], epoch, a)
+        assert cache.stats.grid_misses == misses + 2
+
+    def test_stack_over_capacity_is_kept_alone(self):
+        """A fill of more than ``max_grids`` satellites evicts every
+        other grid, never itself."""
+        props = [SGP4(make_test_tle(norad_id=44200 + i,
+                                    raan_deg=40.0 * i))
+                 for i in range(5)]
+        epoch = props[0].tle.epoch
+        offsets = np.arange(0.0, 300.0, 30.0)
+        cache = EphemerisCache(max_grids=3)
+        cache.propagation_grid(props[0], epoch, offsets + 1.0)
+        r, v = cache.constellation_grid(props, epoch, offsets)
+        assert cache.grid_resident_bytes() == r.nbytes + v.nbytes
+        hits = cache.stats.grid_hits
+        cache.constellation_grid(props, epoch, offsets)
+        assert cache.stats.grid_hits == hits + 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -104,22 +104,6 @@ class TestReadonlyNoCopy:
         assert not r.flags.writeable
         assert not v.flags.writeable
 
-    def test_row_views_share_the_mmap_buffer(self, tmp_path):
-        """Per-satellite rows published from a loaded segment are views
-        into the one mapping, not copies (base-buffer identity)."""
-        tles, props, epoch, offsets = _grid_args()
-        EphemerisCache(disk_dir=tmp_path) \
-            .constellation_grid(props, epoch, offsets)
-        reader = EphemerisCache(disk_dir=tmp_path)
-        stack_r, _ = reader.constellation_grid(props, epoch, offsets)
-        row_r, _ = reader.propagation_grid(props[2], epoch, offsets)
-        base = row_r
-        while isinstance(getattr(base, "base", None), np.ndarray):
-            base = base.base
-        assert base is stack_r or base is getattr(stack_r, "base",
-                                                  None) \
-            or np.shares_memory(row_r, stack_r)
-
 
 class TestResidencyAccounting:
     def test_private_vs_mmap_split(self, tmp_path):

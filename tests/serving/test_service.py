@@ -230,3 +230,28 @@ def test_numpy_scalars_not_leaked(service):
     json.dumps(lb_payload)
     assert isinstance(lb_payload["visible_count"], int)
     assert not isinstance(np.float64(1.0), type(None))  # sanity
+
+
+class TestDiskSegments:
+    """Every request group propagates its constellation as one stack,
+    so a disk-backed service writes one segment (three files) per
+    grid, whether the request came alone or coalesced."""
+
+    @pytest.mark.parametrize("sites", [
+        [HK], [HK, {"lat": -33.9, "lon": 151.2}]], ids=["lone", "pair"])
+    def test_each_endpoint_writes_one_segment(self, tmp_path, sites):
+        from satiot.runtime.ephemeris_cache import EphemerisCache
+        service = ConstellationService(
+            coarse_step_s=60.0,
+            ephemeris=EphemerisCache(disk_dir=tmp_path))
+
+        def files():
+            return sorted(p.name for p in tmp_path.iterdir())
+
+        service.passes_batch([PassesRequest.from_params(
+            {**site, "horizon_s": 7200.0}) for site in sites])
+        assert len(files()) == 3
+        service.link_budget_batch([LinkBudgetRequest.from_params(
+            {**site, "t_offset_s": 600.0}) for site in sites])
+        assert len(files()) == 6
+        assert service.ephemeris.stats.disk_writes == 2

@@ -78,21 +78,6 @@ class TestIncrementalExtension:
         # a single grid-level miss on top.
         assert cache.stats.grid_misses == len(props) + 1
 
-    def test_extended_rows_serve_single_satellite_lookups(self):
-        """Row views of the extended stack are published under the
-        per-satellite grid keys."""
-        props = make_fleet(2)
-        epoch = props[0].tle.epoch
-        full = np.arange(90, dtype=float) * 45.0
-        cache = EphemerisCache()
-        cache.constellation_grid(props, epoch, full[:30])
-        r, v = cache.constellation_grid(props, epoch, full)
-        hits = cache.stats.grid_hits
-        r0, v0 = cache.propagation_grid(props[0], epoch, full)
-        assert cache.stats.grid_hits == hits + 1
-        assert r0.tobytes() == r[0].tobytes()
-        assert v0.tobytes() == v[0].tobytes()
-
     def test_mismatched_prefix_degrades_to_full_fill(self):
         """A recorded grid that is not a byte-prefix never extends —
         and the answer is still exact."""
