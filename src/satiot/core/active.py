@@ -21,7 +21,7 @@ from ..constellations.catalog import Constellation, Satellite, \
     build_constellation
 from ..energy.accounting import EnergyBreakdown
 from ..energy.behavior import TerrestrialBehavior, TianqiBehavior
-from ..network.beacon import build_beacon_train
+from ..network.beacon import build_beacon_trains
 from ..network.mac import BeaconOpportunity, DtSMac, MacConfig
 from ..network.packets import PacketRecord, SensorReading
 from ..network.server import finalize_deliveries
@@ -281,10 +281,11 @@ class ActiveCampaign:
         heard: Dict[str, List[BeaconOpportunity]] = {
             f"TQ-node-{i + 1}": [] for i in range(cfg.node_count)}
 
-        for pass_index, (sat, window) in enumerate(windows):
-            pass_rng = streams.get(f"beacontrain/{pass_index}")
-            train = build_beacon_train(sat, window, cfg.site, epoch,
-                                       pass_rng, radio=radio)
+        passes = [(sat, window, cfg.site,
+                   streams.get(f"beacontrain/{i}"), radio)
+                  for i, (sat, window) in enumerate(windows)]
+        for pass_index, ((sat, window, _, pass_rng, _), train) in enumerate(
+                zip(passes, build_beacon_trains(passes, epoch))):
             times = train.times_s
             if len(times) == 0:
                 continue

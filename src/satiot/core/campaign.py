@@ -227,20 +227,18 @@ def _run_site(cfg: PassiveCampaignConfig, code: str,
         link_overrides={
             "implementation_loss_db": 1.0 + site.environment_loss_db})
 
-    receptions: List[PassReception] = []
     pass_index: Dict[int, int] = {}
-    beacons = traces = 0
+    pass_ids, rngs = [], []
     for scheduled in schedule.assigned:
         norad = scheduled.satellite.norad_id
         k = pass_index.get(norad, 0)
         pass_index[norad] = k + 1
-        pass_id = f"{code}-{norad}-{k}"
-        rng = streams.get(f"rx/{code}/{norad}/{k}")
-        reception = receiver.receive_pass(
-            scheduled, epoch, pass_id, rng, weather=weather)
-        receptions.append(reception)
-        beacons += reception.beacons_sent
-        traces += len(reception.traces)
+        pass_ids.append(f"{code}-{norad}-{k}")
+        rngs.append(streams.get(f"rx/{code}/{norad}/{k}"))
+    receptions = receiver.receive_passes(schedule.assigned, epoch,
+                                         pass_ids, rngs, weather=weather)
+    beacons = sum(reception.beacons_sent for reception in receptions)
+    traces = sum(len(reception.traces) for reception in receptions)
 
     site_result = SiteResult(site=site, stations=stations,
                              schedule=schedule, receptions=receptions,

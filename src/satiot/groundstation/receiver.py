@@ -1,21 +1,22 @@
-"""Beacon reception simulation for one scheduled pass.
+"""Beacon reception simulation for scheduled passes.
 
 For every beacon the satellite broadcasts inside a contact window, the
 receiver evaluates the stochastic DtS downlink and logs the decode into
 a columnar :class:`~satiot.groundstation.traces.TraceColumns` block —
-no per-beacon Python objects are allocated on this hot path.  The
-per-pass summary (first/last reception) is what defines the paper's
-*effective duration* of a contact window.
+no per-beacon Python objects are allocated on this hot path.  All
+passes share one beacon-geometry gather; each then runs its own
+channel.  The per-pass summary (first/last reception) is what defines
+the paper's *effective duration* of a contact window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..network.beacon import build_beacon_train
+from ..network.beacon import BeaconTrain, build_beacon_trains
 from ..orbits.timebase import Epoch
 from ..phy.channel import ChannelParams, DtSChannel
 from ..phy.link_budget import LinkBudget
@@ -90,13 +91,35 @@ class BeaconReceiver:
                      pass_id: str, rng: np.random.Generator,
                      weather: Optional[WeatherProcess] = None,
                      ) -> PassReception:
-        """Simulate all beacon receptions within one scheduled pass."""
+        """One scheduled pass: the one-pass case of :meth:`receive_passes`."""
+        return self.receive_passes([scheduled], epoch, [pass_id], [rng],
+                                   weather)[0]
+
+    def receive_passes(self, scheduled: Sequence[ScheduledPass],
+                       epoch: Epoch, pass_ids: Sequence[str],
+                       rngs: Sequence[np.random.Generator],
+                       weather: Optional[WeatherProcess] = None,
+                       ) -> List[PassReception]:
+        """Simulate many passes, pass ``i`` with ``rngs[i]``: one
+        :func:`~satiot.network.beacon.build_beacon_trains` gather, then
+        each pass's channel, so reception ``i`` equals
+        :meth:`receive_pass` on pass ``i`` byte for byte."""
+        if not len(scheduled) == len(pass_ids) == len(rngs):
+            raise ValueError("need one pass id and one generator per pass")
+        trains = build_beacon_trains(
+            [(sp.satellite, sp.window, sp.station.location, rng, None)
+             for sp, rng in zip(scheduled, rngs)], epoch)
+        return [self._listen(sp, train, pass_id, rng, weather)
+                for sp, train, pass_id, rng in zip(scheduled, trains,
+                                                   pass_ids, rngs)]
+
+    def _listen(self, scheduled: ScheduledPass, train: BeaconTrain,
+                pass_id: str, rng: np.random.Generator,
+                weather: Optional[WeatherProcess]) -> PassReception:
+        """Run one pass's beacon train through its channel."""
         radio = scheduled.satellite.radio
         window = scheduled.window
         station = scheduled.station
-
-        train = build_beacon_train(scheduled.satellite, window,
-                                   station.location, epoch, rng)
         times = train.times_s
         raining = bool(weather.is_raining(window.midpoint_s)) \
             if weather is not None else False

@@ -1,6 +1,6 @@
 """DtS network substrate: packets, MAC, store-and-forward, terrestrial."""
 
-from .beacon import BeaconTrain, build_beacon_train
+from .beacon import BeaconTrain, build_beacon_train, build_beacon_trains
 from .downlink import DownlinkConfig, DownlinkSession, DownlinkSimulator
 from .frames import (AckFrame, BeaconFrame, FrameError, UplinkFrame,
                      crc16_ccitt, decode_frame)
@@ -19,7 +19,7 @@ from .terrestrial import (TerrestrialConfig, TerrestrialLoRaWAN,
 
 __all__ = [
     "BeaconOpportunity", "DtSMac", "MacConfig", "NodeState",
-    "BeaconTrain", "build_beacon_train",
+    "BeaconTrain", "build_beacon_train", "build_beacon_trains",
     "DownlinkConfig", "DownlinkSession", "DownlinkSimulator",
     "AckFrame", "BeaconFrame", "FrameError", "UplinkFrame",
     "crc16_ccitt", "decode_frame",

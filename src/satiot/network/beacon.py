@@ -5,22 +5,27 @@ receiver and the active campaign sample it.  Centralising the train
 construction keeps their timing conventions identical: a random phase
 within one period (the node does not know the satellite's schedule),
 then strictly periodic beacons until the window closes.
+
+:func:`build_beacon_trains` computes the geometry of many passes in one
+gather; :func:`build_beacon_train` is its one-pass case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..constellations.catalog import DtSRadioProfile, Satellite
 from ..orbits.doppler import doppler_rate_hz_s, doppler_shift_hz
 from ..orbits.frames import GeodeticPoint
-from ..orbits.passes import ContactWindow, PassPredictor
+from ..orbits.passes import ContactWindow, observer_geometry
+from ..orbits.sgp4_batch import SGP4Batch
 from ..orbits.timebase import Epoch
+from ..orbits.topocentric import ecef_states, look_angles_from_ecef
 
-__all__ = ["BeaconTrain", "build_beacon_train"]
+__all__ = ["BeaconTrain", "build_beacon_train", "build_beacon_trains"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,13 @@ class BeaconTrain:
                 raise ValueError(f"{name} length mismatch")
 
 
+def _distinct(objects: Sequence) -> Tuple[list, List[int]]:
+    """Distinct objects by identity, and each one's row among them."""
+    rows: dict = {}
+    index = [rows.setdefault(id(o), (len(rows), o))[0] for o in objects]
+    return [o for _, o in rows.values()], index
+
+
 def build_beacon_train(satellite: Satellite, window: ContactWindow,
                        observer: GeodeticPoint, epoch: Epoch,
                        rng: np.random.Generator,
@@ -58,33 +70,58 @@ def build_beacon_train(satellite: Satellite, window: ContactWindow,
 
     The phase of the train within the window is drawn from ``rng`` (one
     uniform over a beacon period), so a shared generator reproduces the
-    same train for every observer of the pass.
+    same train for every observer of the pass.  This is the one-pass
+    case of :func:`build_beacon_trains`.
     """
-    radio = radio or satellite.radio
-    period = radio.beacon_period_s
-    phase = float(rng.uniform(0.0, period))
-    times = np.arange(window.rise_s + phase, window.set_s, period)
+    return build_beacon_trains(
+        [(satellite, window, observer, rng, radio)], epoch)[0]
 
-    if len(times) == 0:
-        empty = np.empty(0)
-        return BeaconTrain(satellite.norad_id, radio.frequency_hz,
-                           empty, empty, empty, empty, empty, empty,
-                           empty)
 
-    predictor = PassPredictor(satellite.propagator, observer)
-    look = predictor.look_angles_at(epoch, times)
-    range_rate = np.asarray(look.range_rate_km_s)
-    shift = np.asarray(doppler_shift_hz(range_rate, radio.frequency_hz))
-    rate = (doppler_rate_hz_s(range_rate, period, radio.frequency_hz)
-            if len(times) >= 2 else np.zeros_like(times))
-    return BeaconTrain(
-        satellite_norad=satellite.norad_id,
-        frequency_hz=radio.frequency_hz,
-        times_s=times,
-        elevation_deg=np.asarray(look.elevation_deg),
-        azimuth_deg=np.asarray(look.azimuth_deg),
-        range_km=np.asarray(look.range_km),
-        range_rate_km_s=range_rate,
-        doppler_shift_hz=shift,
-        doppler_rate_hz_s=np.asarray(rate),
-    )
+def build_beacon_trains(passes: Sequence[tuple],
+                        epoch: Epoch) -> List[BeaconTrain]:
+    """Beacon trains of ``(satellite, window, observer, rng, radio)``
+    passes (``radio`` None for the satellite's own).
+
+    Each pass draws its phase from its own ``rng``, in pass order, even
+    when its train is empty; then one SGP4 gather, TEME→ECEF conversion
+    and SEZ projection cover every beacon.  All three are element-wise,
+    so train ``i`` (and ``rng``) equals the one-pass call's bit for bit,
+    and a decayed satellite raises where a pass-by-pass loop would.
+    """
+    if not passes:
+        return []
+    radios = [radio or satellite.radio for satellite, *_, radio in passes]
+    times = []
+    for (_, window, _, rng, _), radio in zip(passes, radios):
+        period = radio.beacon_period_s
+        phase = float(rng.uniform(0.0, period))
+        times.append(np.arange(window.rise_s + phase, window.set_s,
+                               period))
+    counts = [len(t) for t in times]
+    t = np.concatenate(times)
+    props, sat_rows = _distinct([p[0].propagator for p in passes])
+    observers, obs_rows = _distinct([p[2] for p in passes])
+    sat, obs = np.repeat(sat_rows, counts), np.repeat(obs_rows, counts)
+    deltas = np.array([float(epoch - p.tle.epoch) for p in props])
+    r, v = SGP4Batch.from_propagators(props).propagate_pairs(
+        sat, deltas[sat] + t)
+    sites, rots = (np.stack(a) for a in zip(*observer_geometry(observers)))
+    look = look_angles_from_ecef(
+        None, *ecef_states(r, v, epoch.offset_jd(t)), sites[obs], rots[obs])
+    columns = (look.elevation_deg, look.azimuth_deg, look.range_km,
+               look.range_rate_km_s)
+
+    trains = []
+    bounds = np.cumsum([0] + counts)
+    for (satellite, *_), radio, times_s, lo, hi in zip(
+            passes, radios, times, bounds[:-1], bounds[1:]):
+        geometry = [column[lo:hi] for column in columns]
+        range_rate = geometry[-1]
+        shift = np.asarray(doppler_shift_hz(range_rate, radio.frequency_hz))
+        rate = (doppler_rate_hz_s(range_rate, radio.beacon_period_s,
+                                  radio.frequency_hz)
+                if len(times_s) >= 2 else np.zeros_like(times_s))
+        trains.append(BeaconTrain(satellite.norad_id, radio.frequency_hz,
+                                  times_s, *geometry, shift,
+                                  np.asarray(rate)))
+    return trains

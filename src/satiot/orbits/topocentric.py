@@ -10,7 +10,8 @@ the TEME→ECEF conversion (the expensive, observer-*independent* half of
 the pipeline) is computed once via :func:`ecef_states`, and the cheap
 observer-dependent SEZ projection is applied per observer
 (:func:`look_angles_from_ecef`, :func:`elevation_from_ecef`,
-:func:`batch_look_angles`, :func:`batch_elevations`).
+:func:`batch_look_angles`, :func:`batch_elevations`), or per state
+from stacked sites and rotations (the pass search, the beacon trains).
 
 Bit-identity contract
 ---------------------
@@ -102,23 +103,32 @@ def _sez_components(vec: np.ndarray, rot: np.ndarray):
     return s, e, zz
 
 
-def look_angles_from_ecef(observer: GeodeticPoint,
+def _range_elevation(s, e, z):
+    """Slant range (km) and elevation (deg) of SEZ components."""
+    rng = np.sqrt(s * s + e * e + z * z)
+    return rng, np.arcsin(np.clip(z / rng, -1.0, 1.0)) * RAD2DEG
+
+
+def look_angles_from_ecef(observer: Optional[GeodeticPoint],
                           r_ecef: np.ndarray,
-                          v_ecef: np.ndarray) -> LookAngles:
+                          v_ecef: np.ndarray,
+                          site: Optional[np.ndarray] = None,
+                          rot: Optional[np.ndarray] = None) -> LookAngles:
     """Observer-dependent half: SEZ projection and angle extraction.
 
     ``r_ecef``/``v_ecef`` come from :func:`ecef_states` and may be
-    shared between many observers.
+    shared between many observers.  ``site``/``rot`` work as in
+    :func:`elevation_from_ecef`: precomputed for one observer, or
+    ``(K, 3)`` / ``(K, 3, 3)`` stacks giving each of K states its own.
     """
-    site = observer.ecef()
-    rot = sez_rotation(observer.latitude_rad, observer.longitude_rad)
-    rho_ecef = np.asarray(r_ecef, dtype=float) - site
-
-    s, e, z = _sez_components(rho_ecef, rot)
+    if site is None:
+        site = observer.ecef()
+    if rot is None:
+        rot = sez_rotation(observer.latitude_rad, observer.longitude_rad)
+    s, e, z = _sez_components(np.asarray(r_ecef, dtype=float) - site, rot)
     ds, de, dz = _sez_components(np.asarray(v_ecef, float), rot)
 
-    rng = np.sqrt(s * s + e * e + z * z)
-    elevation = np.arcsin(np.clip(z / rng, -1.0, 1.0)) * RAD2DEG
+    rng, elevation = _range_elevation(s, e, z)
     azimuth = np.remainder(np.arctan2(e, -s) * RAD2DEG, 360.0)
     range_rate = (s * ds + e * de + z * dz) / rng
 
@@ -128,7 +138,7 @@ def look_angles_from_ecef(observer: GeodeticPoint,
     return LookAngles(azimuth, elevation, rng, range_rate)
 
 
-def elevation_from_ecef(observer: GeodeticPoint,
+def elevation_from_ecef(observer: Optional[GeodeticPoint],
                         r_ecef: np.ndarray,
                         site: Optional[np.ndarray] = None,
                         rot: Optional[np.ndarray] = None) -> np.ndarray:
@@ -146,10 +156,8 @@ def elevation_from_ecef(observer: GeodeticPoint,
         site = observer.ecef()
     if rot is None:
         rot = sez_rotation(observer.latitude_rad, observer.longitude_rad)
-    rho_ecef = np.asarray(r_ecef, dtype=float) - site
-    s, e, z = _sez_components(rho_ecef, rot)
-    rng = np.sqrt(s * s + e * e + z * z)
-    return np.arcsin(np.clip(z / rng, -1.0, 1.0)) * RAD2DEG
+    s, e, z = _sez_components(np.asarray(r_ecef, dtype=float) - site, rot)
+    return _range_elevation(s, e, z)[1]
 
 
 def look_angles(observer: GeodeticPoint,

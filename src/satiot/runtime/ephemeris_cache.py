@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -70,6 +71,15 @@ from ..orbits.tle import TLE
 __all__ = ["CacheStats", "EphemerisCache", "get_default_cache",
            "reset_default_cache", "tle_fingerprint",
            "constellation_fingerprint"]
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` naming the first frame outside this module."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
+
 
 #: Disable the process-default cache entirely when set to 0/false/off.
 CACHE_ENV = "SATIOT_EPHEMERIS_CACHE"
@@ -639,7 +649,7 @@ class EphemerisCache:
                 f"ephemeris disk cache at {self.disk_dir} is "
                 f"unavailable ({type(error).__name__}: {error}); "
                 f"degrading to compute-through", RuntimeWarning,
-                stacklevel=4)
+                stacklevel=_caller_stacklevel())
 
     def _quarantine(self, paths: Sequence[Path], reason: str) -> None:
         """Move every file of a corrupt segment aside (one count)."""
@@ -657,7 +667,7 @@ class EphemerisCache:
         warnings.warn(
             f"quarantined corrupt ephemeris segment "
             f"{paths[0].name} ({reason}); recomputing",
-            RuntimeWarning, stacklevel=4)
+            RuntimeWarning, stacklevel=_caller_stacklevel())
 
     @staticmethod
     def _corrupt_file(path: Path) -> None:

@@ -21,7 +21,7 @@ import json
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -364,10 +364,10 @@ def _run_reception_cell(cell: CompiledCell,
     # RNG streams are keyed by the fleet's beacon period so sweep cells
     # draw decorrelated channel noise (``p{period}/{pass index}``).
     period = constellation.radio.beacon_period_s
-    receptions = [
-        receiver.receive_pass(scheduled, epoch, f"{code}-{i}",
-                              streams.get(f"p{period}/{i}"))
-        for i, scheduled in enumerate(schedule.assigned)]
+    indices = range(len(schedule.assigned))
+    receptions = receiver.receive_passes(
+        schedule.assigned, epoch, [f"{code}-{i}" for i in indices],
+        [streams.get(f"p{period}/{i}") for i in indices])
     received = sum(r.beacons_received for r in receptions)
     sent = sum(r.beacons_sent for r in receptions)
     heard = (float(np.mean([r.heard_anything for r in receptions]))

@@ -1,27 +1,35 @@
 """Batched/unbatched determinism + constellation-grid exactness.
 
 The fleet pass search refines the crossings of every pair it is given
-in lockstep.  A pair's windows must not depend on which other pairs
+in lockstep, and the receiver builds the beacon trains of all its
+passes in one geometry gather.  A pair's windows must not depend on which other pairs
 share its search: every consumer — campaign scheduler, serving flush —
 must produce **byte-identical** output whether its pairs are searched
 together ("batching on") or in smaller searches ("off": one pair per
 :meth:`EphemerisCache.find_passes` call, or one request per serving
-batch).  These tests pin that contract, plus the bit-identity of the
-cached constellation grid to per-satellite propagation.
+batch).  These tests pin that contract for pass search and beacon reception,
+plus the bit-identity of the cached constellation grid to
+per-satellite propagation.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from satiot.constellations.catalog import build_constellation
 from satiot.core.campaign import (PassiveCampaign, PassiveCampaignConfig,
-                                  _campaign_inputs)
+                                  _campaign_inputs, _deploy_stations)
 from satiot.core.sites import SITES
+from satiot.groundstation.receiver import BeaconReceiver, PassReception
+from satiot.groundstation.scheduler import Scheduler
 from satiot.runtime.ephemeris_cache import EphemerisCache
 from satiot.serving.service import (ConstellationService, PassesRequest,
                                     PresenceRequest)
+from satiot.sim.rng import RngStreams
+from satiot.sim.weather import WeatherProcess
 
 from .test_columnar_determinism import assert_columns_bit_identical
 
@@ -73,6 +81,49 @@ class TestCampaignBatchingDeterminism:
                 assert a.window.set_s == b.window.set_s
                 assert a.window.max_elevation_deg == \
                     b.window.max_elevation_deg
+
+
+class TestReceiveChainDeterminism:
+    """One geometry gather for every pass of a site gives the same
+    receptions as listening one pass at a time."""
+
+    def test_receive_passes_equal_pass_by_pass(self):
+        config = PassiveCampaignConfig(sites=("HK",), days=0.5, seed=11)
+        _, satellites, epoch = _campaign_inputs(config)
+        site = SITES["HK"]
+        stations = _deploy_stations(site)
+        schedule = Scheduler(stations).build_schedule(
+            satellites, epoch, config.duration_s,
+            coarse_step_s=config.coarse_step_s)
+        assigned = schedule.assigned
+        assert len({sp.station.station_id for sp in assigned}) > 1
+        weather = WeatherProcess(site.weather, config.duration_s,
+                                 RngStreams(config.seed).get("weather"))
+        receiver = BeaconReceiver(
+            link_overrides={"implementation_loss_db": 2.0})
+        pass_ids = [f"HK-{i}" for i in range(len(assigned))]
+
+        def rngs():
+            streams = RngStreams(config.seed)
+            return [streams.get(f"rx/{i}") for i in range(len(assigned))]
+
+        batched = receiver.receive_passes(assigned, epoch, pass_ids,
+                                          rngs(), weather=weather)
+        single = [receiver.receive_pass(sp, epoch, pass_id, rng,
+                                        weather=weather)
+                  for sp, pass_id, rng in zip(assigned, pass_ids, rngs())]
+        assert len(batched) == len(single) == len(assigned) > 20
+        assert sum(len(r.traces) for r in batched) > 0
+        for a, b in zip(batched, single):
+            for field in dataclasses.fields(PassReception):
+                if field.name != "traces":
+                    assert getattr(a, field.name) == \
+                        getattr(b, field.name), field.name
+            assert_columns_bit_identical(a.traces, b.traces)
+
+    def test_pass_ids_and_generators_must_match_passes(self):
+        with pytest.raises(ValueError, match="one generator per pass"):
+            BeaconReceiver().receive_passes([], None, ["HK-0"], [])
 
 
 def _observer_params():

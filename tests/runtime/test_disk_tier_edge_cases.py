@@ -189,6 +189,53 @@ class TestVanishingStore:
         assert cache.stats.disk_errors >= 1
 
 
+#: Cache entry points, each as ``(warm, call)``: ``warm`` writes the
+#: segment that ``call`` then reads.  The prefix extension reads the
+#: prefix's segment from inside its extension path.
+PREFIX = OFFSETS[:30]
+ENTRY_POINTS = {
+    "constellation_grid": lambda cache, sat: cache.constellation_grid(
+        [sat], sat.tle.epoch, OFFSETS),
+    "propagation_grid": lambda cache, sat: cache.propagation_grid(
+        sat, sat.tle.epoch, OFFSETS),
+    "find_passes": lambda cache, sat: cache.find_passes(
+        sat, HK, sat.tle.epoch, 3600.0),
+    "find_passes_fleet": lambda cache, sat: cache.find_passes_fleet(
+        [sat], [HK], sat.tle.epoch, 3600.0),
+    "prefix_extension": lambda cache, sat: cache.extend_constellation_grid(
+        [sat], sat.tle.epoch, OFFSETS, prefix_offsets_s=PREFIX),
+}
+
+
+class TestWarningsNameTheCaller:
+    """A degradation warning points at the line that called the cache,
+    however deep inside the cache the entry point raised it."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_quarantine_warning(self, sat, tmp_path, entry):
+        writer = EphemerisCache(disk_dir=tmp_path)
+        if entry == "prefix_extension":
+            writer.constellation_grid([sat], sat.tle.epoch, PREFIX)
+        else:
+            ENTRY_POINTS[entry](writer, sat)
+        for path in tmp_path.glob("cgrid-*.r.npy"):
+            path.write_bytes(b"rot")
+        cache = EphemerisCache(disk_dir=tmp_path)
+        with pytest.warns(RuntimeWarning, match="quarantined") as record:
+            ENTRY_POINTS[entry](cache, sat)
+        assert cache.stats.disk_corrupt == 1
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_disk_degraded_warning(self, sat, tmp_path, entry):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"file")
+        cache = EphemerisCache(disk_dir=blocker / "cache")
+        with pytest.warns(RuntimeWarning, match="compute-through") as record:
+            ENTRY_POINTS[entry](cache, sat)
+        assert record[0].filename == __file__
+
+
 @contextlib.contextmanager
 def _no_warning():
     """Assert the block emits no RuntimeWarning."""
