@@ -5,13 +5,12 @@ Subcommands mirror the library's workflows::
     python -m satiot tle tianqi                 # export element sets
     python -m satiot passes tianqi --site HK    # contact windows
     python -m satiot presence --site HK         # Fig. 3a style table
-    python -m satiot passive --sites HK --days 1 --out traces.npz
+    python -m satiot passive --sites HK --days 1 --spill spill/
     python -m satiot active --days 2
     python -m satiot coverage tianqi --hours 24
     python -m satiot dataset export archive/ --sites HK,SYD --days 1
     python -m satiot dataset info archive/     # manifest-only, O(1)
     python -m satiot dataset info spill/ --verify  # checksum v2 shards
-    python -m satiot passive --days 7 --spill spill/  # out-of-core run
     python -m satiot catalog synth fleet.3le.gz   # 5k-sat mega fleet
     python -m satiot catalog insert cat.db fleet.3le.gz --group-from-name
     python -m satiot catalog get cat.db group:MEGA-SHELL-D
@@ -38,11 +37,13 @@ from .constellations.catalog import (CONSTELLATION_SPECS,
                                      build_constellation)
 from .core.active import ActiveCampaign, ActiveCampaignConfig
 from .core.availability import daily_presence_hours
-from .core.campaign import PassiveCampaign, PassiveCampaignConfig
+from .core.campaign import (PassiveCampaign, PassiveCampaignConfig,
+                            PassiveCampaignResult)
 from .core.contacts import analyze_contacts
 from .core.performance import compare_systems
 from .core.report import format_kv, format_table
 from .core.sites import SITES
+from .groundstation.traces import TRACE_FORMATS
 from .orbits.frames import GeodeticPoint
 from .orbits.groundtrack import CoverageGrid
 from .orbits.passes import find_passes_fleet
@@ -66,30 +67,6 @@ def _add_location_args(parser: argparse.ArgumentParser) -> None:
                         help="a paper measurement site code")
     parser.add_argument("--lat", type=float, default=None)
     parser.add_argument("--lon", type=float, default=None)
-
-
-def _add_trace_format_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace-format", choices=("auto", "csv", "jsonl", "npz"),
-        default="auto",
-        help="trace file format (auto = npz for large runs, csv "
-             "otherwise)")
-
-
-def _resolve_trace_format(choice: str, total_traces: int,
-                          out_path: Optional[str] = None) -> str:
-    """``auto`` honours a recognised output suffix, then run size."""
-    from pathlib import Path
-
-    from .datasets import NPZ_AUTO_THRESHOLD
-    from .groundstation.traces import TRACE_FORMATS
-    if choice != "auto":
-        return choice
-    if out_path is not None:
-        suffix = Path(out_path).suffix.lower().lstrip(".")
-        if suffix in TRACE_FORMATS:
-            return suffix
-    return "npz" if total_traces >= NPZ_AUTO_THRESHOLD else "csv"
 
 
 def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
@@ -219,28 +196,39 @@ def cmd_passive(args: argparse.Namespace) -> int:
                   f"eff {stats.effective_daily_hours:4.1f} h/day, "
                   f"shrink {stats.duration_shrinkage:.0%}")
     if args.out:
-        fmt = _resolve_trace_format(args.trace_format,
-                                    result.total_traces, args.out)
-        fmt = result.dataset.save(args.out, trace_format=fmt)
+        try:
+            fmt = result.dataset.save(args.out)
+        except (OSError, ValueError) as error:
+            return _dataset_error("write", args.out, error)
         print(f"wrote {args.out} ({fmt})")
-    if args.spill:
-        manifest = result.spill_to(args.spill,
-                                   rows_per_shard=args.rows_per_shard)
-        print(f"spilled {manifest['total_rows']} traces into "
-              f"{len(manifest['shards'])} shard(s) under {args.spill}")
-    return 0
+    return _spill_result(result, args)
 
 
 # ----------------------------------------------------------------------
 def _dataset_error(action: str, root: str, error: Exception) -> int:
-    """Uniform dataset-CLI failure: clear message on stderr, exit 2.
+    """Uniform trace-archive failure: clear message on stderr, exit 2.
 
-    Covers missing archives, unreadable/corrupt files and malformed
-    manifests — operator mistakes, not crashes, so no traceback.
+    Covers missing archives, unwritable paths, corrupt files and
+    malformed manifests — operator mistakes, not crashes, so no traceback.
     """
     print(f"error: cannot {action} dataset archive {root!r}: {error}",
           file=sys.stderr)
     return 2
+
+
+def _spill_result(result: PassiveCampaignResult,
+                  args: argparse.Namespace) -> int:
+    """Spill a campaign result into ``--spill DIR`` (when given)."""
+    if not args.spill:
+        return 0
+    try:
+        stream = result.spill_to(args.spill,
+                                 rows_per_shard=args.rows_per_shard)
+    except (OSError, ValueError) as error:
+        return _dataset_error("write", args.spill, error)
+    print(f"spilled {stream['total_rows']} traces into "
+          f"{len(stream['shards'])} shard(s) under {args.spill}")
+    return 0
 
 
 def cmd_dataset_export(args: argparse.Namespace) -> int:
@@ -259,15 +247,7 @@ def cmd_dataset_export(args: argparse.Namespace) -> int:
           f"({manifest.trace_format}) under {args.root}")
     for code, count in sorted(manifest.sites.items()):
         print(f"  {code}: {count} traces")
-    if args.spill:
-        try:
-            stream = result.spill_to(
-                args.spill, rows_per_shard=args.rows_per_shard)
-        except (OSError, ValueError) as error:
-            return _dataset_error("write", args.spill, error)
-        print(f"spilled {stream['total_rows']} traces into "
-              f"{len(stream['shards'])} shard(s) under {args.spill}")
-    return 0
+    return _spill_result(result, args)
 
 
 def _stream_archive_info(args: argparse.Namespace) -> int:
@@ -799,8 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated site codes")
     p.add_argument("--days", type=float, default=1.0)
     p.add_argument("--out", default=None,
-                   help="trace output path (csv/jsonl/npz)")
-    _add_trace_format_arg(p)
+                   help="text trace output path; the suffix picks the "
+                        "format (.jsonl/.json/.ndjson: JSON lines, "
+                        "otherwise CSV)")
     _add_spill_args(p)
     _add_runtime_args(p)
     p.set_defaults(func=cmd_passive)
@@ -817,7 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated site codes")
     p.add_argument("--days", type=float, default=1.0)
     p.add_argument("--name", default="sinet-sim")
-    _add_trace_format_arg(p)
+    p.add_argument("--trace-format", choices=TRACE_FORMATS, default="csv",
+                   help="site trace file format (default: csv)")
     _add_spill_args(p)
     _add_runtime_args(p)
     p.set_defaults(func=cmd_dataset_export)

@@ -216,9 +216,7 @@ class LongitudinalCampaign:
                                           sample_from_state,
                                           sample_to_state,
                                           save_checkpoint)
-        from ..streams.spill import (MANIFEST_NAME, PENDING_NAME,
-                                     SHARD_DIR, ShardSpillWriter,
-                                     is_stream_archive,
+        from ..streams.spill import (ShardSpillWriter, is_stream_archive,
                                      read_stream_manifest)
 
         t0 = time.perf_counter()
@@ -251,18 +249,9 @@ class LongitudinalCampaign:
                     archive_dir=str(root), manifest=manifest)
 
         if writer is None:
-            # Fresh run: clear any stale spill state so the directory
-            # is a pure function of this run.
-            root.mkdir(parents=True, exist_ok=True)
-            for name in (MANIFEST_NAME, PENDING_NAME,
-                         "checkpoint.json"):
-                path = root / name
-                if path.exists():
-                    path.unlink()
-            shard_dir = root / SHARD_DIR
-            if shard_dir.is_dir():
-                for stale in shard_dir.glob("shard-*.npz"):
-                    stale.unlink()
+            # Fresh run: the new writer clears any earlier archive, so
+            # only a stale checkpoint is left to remove.
+            clear_checkpoint(root)
             writer = ShardSpillWriter(
                 root, rows_per_shard=self.rows_per_shard,
                 fingerprint=fingerprint)

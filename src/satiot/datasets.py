@@ -6,41 +6,33 @@ shape — one traces file per site plus a JSON manifest — and loads such
 an archive back, so analyses can run on archived data without
 re-simulation.
 
-Since the trace data plane went columnar, archives support three
-formats (recorded in the manifest and auto-detected on load):
+Site files are text, in one of two formats recorded in the manifest:
 
 ``csv``
     Text, interoperable, one row per beacon (the original layout).
 ``jsonl``
     JSON lines; same row model, typed values.
-``npz``
-    Binary column archive — NumPy arrays plus string-interning tables,
-    compressed.  Value-exact and several times smaller than CSV; the
-    default for large campaigns.
+
+Both are written by :func:`~satiot.groundstation.traces.write_text` and
+are value-exact.  The compact binary archive is the sharded
+``satiot-traces-v2`` layout (``--spill``, :mod:`satiot.streams`).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .core.campaign import PassiveCampaignResult
-from .groundstation.traces import (TRACE_FORMATS, TraceColumns,
-                                   TraceDataset, _block_text_rows,
-                                   _FIELD_ORDER, iter_sorted_chunks)
+from .groundstation.traces import (TraceColumns, TraceDataset,
+                                   iter_sorted_chunks, write_text)
 
 __all__ = ["DatasetManifest", "export_dataset", "load_dataset",
-           "read_manifest", "NPZ_AUTO_THRESHOLD"]
+           "read_manifest"]
 
 MANIFEST_NAME = "manifest.json"
-
-#: ``trace_format="auto"`` switches to the binary column archive at
-#: this many traces — text stays the default for small, eyeball-able
-#: runs, large campaigns get the compact format.
-NPZ_AUTO_THRESHOLD = 20_000
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class DatasetManifest:
     sites: Dict[str, int]            # site code -> trace count
     constellations: Dict[str, int]   # name -> satellite count
     total_traces: int
-    #: On-disk format of the per-site trace files (csv/jsonl/npz).
+    #: On-disk format of the per-site trace files (csv or jsonl).
     trace_format: str = "csv"
 
     def to_json(self) -> str:
@@ -68,13 +60,9 @@ class DatasetManifest:
         return cls(**data)
 
 
-def _resolve_format(trace_format: str, total_traces: int) -> str:
-    if trace_format == "auto":
-        return "npz" if total_traces >= NPZ_AUTO_THRESHOLD else "csv"
-    if trace_format not in TRACE_FORMATS:
-        raise ValueError(f"unknown trace format {trace_format!r}; "
-                         f"choose from {TRACE_FORMATS} or 'auto'")
-    return trace_format
+def _site_traces_path(root: Path, code: str, fmt: str) -> Path:
+    """Where a site's trace file lives in an archive of format ``fmt``."""
+    return root / code / f"traces.{fmt}"
 
 
 def _site_blocks(dataset: TraceDataset,
@@ -88,67 +76,28 @@ def _site_blocks(dataset: TraceDataset,
     return blocks
 
 
-def _export_site_streaming(dataset: TraceDataset, code: str,
-                           path: Path, fmt: str) -> int:
-    """Write one site's traces time-sorted without consolidating.
-
-    Row-for-row (and therefore byte-for-byte) identical to
-    ``dataset.by_site(code).sorted_by_time().save(path)``: per-block
-    site filtering preserves the consolidated row order, and
-    :func:`iter_sorted_chunks` replays the same stable time sort in
-    bounded chunks.  Peak memory is one chunk plus the site's time
-    column instead of the whole campaign.
-    """
-    blocks = _site_blocks(dataset, code)
-    total = sum(block.n for block in blocks)
-    chunks = iter_sorted_chunks(blocks)
-    if fmt == "csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(_FIELD_ORDER))
-            writer.writeheader()
-            for chunk in chunks:
-                for row in _block_text_rows(chunk):
-                    writer.writerow(row)
-    elif fmt == "jsonl":
-        with path.open("w") as fh:
-            for chunk in chunks:
-                for row in _block_text_rows(chunk):
-                    fh.write(json.dumps(row) + "\n")
-    else:
-        raise ValueError(
-            f"streaming export supports csv/jsonl, not {fmt!r}")
-    return total
-
-
 def export_dataset(result: PassiveCampaignResult,
                    root: Union[str, Path],
                    name: str = "sinet-sim",
                    trace_format: str = "csv") -> DatasetManifest:
     """Write a campaign as ``root/<SITE>/traces.<fmt>`` + manifest.
 
-    ``trace_format`` may be ``csv``, ``jsonl``, ``npz`` or ``auto``
-    (npz for runs with at least :data:`NPZ_AUTO_THRESHOLD` traces,
-    csv below).
+    ``trace_format`` is ``csv`` or ``jsonl``.  Each site file streams
+    through :func:`iter_sorted_chunks` without consolidating the
+    campaign, and is byte-identical to
+    ``dataset.by_site(code).sorted_by_time().save(path)``: per-block
+    site filtering keeps the consolidated row order, and the chunks
+    replay the same stable time sort.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    fmt = _resolve_format(trace_format, result.total_traces)
-
     site_counts: Dict[str, int] = {}
-    for code, site_result in result.site_results.items():
-        site_dir = root / code
-        site_dir.mkdir(exist_ok=True)
-        path = site_dir / f"traces.{fmt}"
-        if fmt in ("csv", "jsonl"):
-            # Text conversion streams column-block-by-block; the NPZ
-            # writer needs the consolidated (canonically re-interned)
-            # columns anyway, so it keeps the in-RAM path.
-            site_counts[code] = _export_site_streaming(
-                result.dataset, code, path, fmt)
-        else:
-            dataset = result.dataset.by_site(code).sorted_by_time()
-            dataset.save(path, trace_format=fmt)
-            site_counts[code] = len(dataset)
+    for code in result.site_results:
+        path = _site_traces_path(root, code, trace_format)
+        path.parent.mkdir(exist_ok=True)
+        site_counts[code] = write_text(
+            iter_sorted_chunks(_site_blocks(result.dataset, code)),
+            path, trace_format)
 
     manifest = DatasetManifest(
         name=name,
@@ -158,7 +107,7 @@ def export_dataset(result: PassiveCampaignResult,
         constellations={c.name: len(c)
                         for c in result.constellations.values()},
         total_traces=result.total_traces,
-        trace_format=fmt,
+        trace_format=trace_format,
     )
     (root / MANIFEST_NAME).write_text(manifest.to_json() + "\n")
     return manifest
@@ -178,29 +127,13 @@ def read_manifest(root: Union[str, Path]) -> DatasetManifest:
     return DatasetManifest.from_json(manifest_path.read_text())
 
 
-def _site_traces_path(root: Path, code: str, fmt: str) -> Path:
-    """Locate a site's trace file, tolerating a format mismatch.
-
-    The manifest's ``trace_format`` is authoritative, but archives
-    rewritten by hand (or pre-columnar ones) are still loadable as long
-    as exactly one known format is present on disk.
-    """
-    preferred = root / code / f"traces.{fmt}"
-    if preferred.exists():
-        return preferred
-    candidates = [root / code / f"traces.{alt}" for alt in TRACE_FORMATS]
-    existing = [p for p in candidates if p.exists()]
-    if len(existing) == 1:
-        return existing[0]
-    raise FileNotFoundError(f"missing site file {preferred}")
-
-
 def load_dataset(root: Union[str, Path],
                  ) -> Tuple[DatasetManifest, Dict[str, TraceDataset]]:
     """Load an archive written by :func:`export_dataset`.
 
-    The trace format is auto-detected from the manifest (falling back
-    to whatever single known format exists per site directory).
+    The manifest's ``trace_format`` names the site files' format; an
+    ``npz`` one (a v1 binary archive) is refused with a pointer to
+    ``--spill``.
     """
     root = Path(root)
     manifest = read_manifest(root)

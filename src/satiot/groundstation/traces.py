@@ -13,9 +13,10 @@ materialise it lazily on ``__iter__``/``__getitem__`` so every historic
 call site keeps working, but producers and the analysis layers never
 touch per-row Python objects on the hot path.
 
-Datasets serialise to CSV and JSON-lines (text, interoperable) and to a
-binary NPZ column archive (compact, value-exact) so campaigns can be
-archived and re-analysed without re-simulation.
+Datasets serialise to CSV and JSON lines (text, interoperable,
+value-exact) through one writer, :func:`write_text`, so campaigns can be
+archived and re-analysed without re-simulation.  The binary archive is
+the sharded ``satiot-traces-v2`` layout of :mod:`satiot.streams`.
 
 Determinism contract
 --------------------
@@ -38,13 +39,11 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
 import numpy as np
 
 __all__ = ["BeaconTrace", "StringColumn", "TraceColumns", "TraceDataset",
-           "TRACE_FIELD_KINDS", "TRACE_FORMATS", "iter_sorted_chunks"]
+           "TRACE_FIELD_KINDS", "TRACE_FORMATS", "iter_sorted_chunks",
+           "write_text"]
 
-#: Formats a dataset can round-trip through.
-TRACE_FORMATS = ("csv", "jsonl", "npz")
-
-#: Magic recorded inside NPZ archives (layout version).
-_NPZ_FORMAT = "satiot-traces-v1"
+#: Text formats a dataset saves to and loads from.
+TRACE_FORMATS = ("csv", "jsonl")
 
 
 # ======================================================================
@@ -734,143 +733,58 @@ class TraceDataset:
     # ------------------------------------------------------------------
     # Text formats (interoperable; value-exact via repr round-tripping)
     # ------------------------------------------------------------------
-    def _text_rows(self) -> Iterator[dict]:
-        # Stream block-by-block: peak memory is one block's decoded
-        # columns, not the whole dataset's.  Block order matches the
-        # consolidated row order, so output bytes are unchanged.
-        for block in self.blocks():
-            yield from _block_text_rows(block)
-
     def to_csv(self, path: Union[str, Path]) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(_FIELD_ORDER))
-            writer.writeheader()
-            for row in self._text_rows():
-                writer.writerow(row)
+        write_text(self.blocks(), path, "csv")
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "TraceDataset":
-        path = Path(path)
-        lists: Dict[str, List] = {name: [] for name in _FIELD_ORDER}
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                for name in _FIELD_ORDER:
-                    lists[name].append(row[name])
-        return cls(_block_from_text_columns(lists, parse_bool=True))
+        return cls(_read_text(path, "csv"))
 
     def to_jsonl(self, path: Union[str, Path]) -> None:
-        path = Path(path)
-        with path.open("w") as fh:
-            for row in self._text_rows():
-                fh.write(json.dumps(row) + "\n")
+        write_text(self.blocks(), path, "jsonl")
 
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "TraceDataset":
-        path = Path(path)
-        lists: Dict[str, List] = {name: [] for name in _FIELD_ORDER}
-        with path.open() as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                for name in _FIELD_ORDER:
-                    lists[name].append(row[name])
-        return cls(_block_from_text_columns(lists, parse_bool=False))
+        return cls(_read_text(path, "jsonl"))
 
-    # ------------------------------------------------------------------
-    # Binary column archive (compact; bit-exact floats)
-    # ------------------------------------------------------------------
-    def to_npz(self, path: Union[str, Path]) -> None:
-        """Write the dataset as a compressed NPZ column archive.
-
-        Floats/ints round-trip bit-exactly; strings are stored as
-        interning tables plus ``int32`` codes (note NumPy's fixed-width
-        unicode storage drops *trailing* NUL characters — site names
-        with trailing ``\\x00`` are not representable, which CSV shares).
-        """
-        block = self.columns
-        payload: Dict[str, np.ndarray] = {
-            "__format__": np.asarray([_NPZ_FORMAT]),
-            "__n__": np.asarray([block.n], dtype=np.int64),
-        }
-        for name in NUMERIC_FIELDS:
-            payload[name] = block.column(name)
-        for name in STRING_FIELDS:
-            col = block.string_column(name)
-            payload[f"{name}__codes"] = col.codes
-            payload[f"{name}__table"] = (
-                np.asarray(col.table) if col.table
-                else np.empty(0, dtype="<U1"))
-        with Path(path).open("wb") as fh:
-            np.savez_compressed(fh, **payload)
-
-    @classmethod
-    def from_npz(cls, path: Union[str, Path]) -> "TraceDataset":
-        import zipfile
-        path = Path(path)
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                magic = str(archive["__format__"][0])
-                if magic.startswith("satiot-traces-v2"):
-                    raise ValueError(
-                        f"{path} is a {magic!r} shard; open its "
-                        f"archive directory with "
-                        f"satiot.streams.ShardedTraceReader")
-                if magic != _NPZ_FORMAT:
-                    raise ValueError(
-                        f"unsupported trace archive format {magic!r}")
-                n = int(archive["__n__"][0])
-                numeric = {
-                    name: np.ascontiguousarray(
-                        archive[name],
-                        dtype=_NUMERIC_DTYPES[TRACE_FIELD_KINDS[name]])
-                    for name in NUMERIC_FIELDS}
-                strings = {
-                    name: StringColumn(
-                        archive[f"{name}__codes"],
-                        [str(s) for s in archive[f"{name}__table"]])
-                    for name in STRING_FIELDS}
-        except (zipfile.BadZipFile, EOFError) as exc:
-            raise ValueError(
-                f"{path}: trace archive is truncated or corrupt "
-                f"({exc})") from exc
-        except KeyError as exc:
-            raise ValueError(
-                f"{path}: trace archive is missing column {exc}; "
-                f"file is truncated or not a satiot archive") from exc
-        return cls(TraceColumns(numeric, strings, n))
-
-    # ------------------------------------------------------------------
     def save(self, path: Union[str, Path],
              trace_format: Optional[str] = None) -> str:
         """Write in the named format (inferred from suffix by default)."""
-        fmt = trace_format or _format_from_suffix(path)
-        if fmt == "csv":
-            self.to_csv(path)
-        elif fmt == "jsonl":
-            self.to_jsonl(path)
-        elif fmt == "npz":
-            self.to_npz(path)
-        else:
-            raise ValueError(f"unknown trace format {fmt!r}; "
-                             f"choose from {TRACE_FORMATS}")
+        fmt = _text_format(path, trace_format)
+        write_text(self.blocks(), path, fmt)
         return fmt
 
     @classmethod
     def load(cls, path: Union[str, Path],
              trace_format: Optional[str] = None) -> "TraceDataset":
         """Read a file written by :meth:`save` (suffix auto-detect)."""
-        fmt = trace_format or _format_from_suffix(path)
+        return cls(_read_text(path, _text_format(path, trace_format)))
+
+
+def write_text(blocks: Iterable[TraceColumns], path: Union[str, Path],
+               trace_format: str) -> int:
+    """Write column blocks to ``path`` as CSV or JSON lines.
+
+    The one text writer: :meth:`TraceDataset.save` hands it the
+    dataset's blocks, the SINet exporter a site's time-sorted chunks.
+    Blocks are decoded one at a time, so peak memory is one block's
+    decoded columns however long the stream.  Returns the row count.
+    """
+    fmt = _text_format(path, trace_format)
+    rows = 0
+    with Path(path).open("w", newline="") as fh:
         if fmt == "csv":
-            return cls.from_csv(path)
-        if fmt == "jsonl":
-            return cls.from_jsonl(path)
-        if fmt == "npz":
-            return cls.from_npz(path)
-        raise ValueError(f"unknown trace format {fmt!r}; "
-                         f"choose from {TRACE_FORMATS}")
+            writer = csv.DictWriter(fh, fieldnames=list(_FIELD_ORDER))
+            writer.writeheader()
+            emit = writer.writerow
+        else:
+            def emit(row: dict) -> None:
+                fh.write(json.dumps(row) + "\n")
+        for block in blocks:
+            for row in _block_text_rows(block):
+                emit(row)
+            rows += block.n
+    return rows
 
 
 def iter_sorted_chunks(blocks: Sequence[TraceColumns],
@@ -929,11 +843,27 @@ def iter_sorted_chunks(blocks: Sequence[TraceColumns],
         yield TraceColumns(numeric, strings, idx.size)
 
 
-def _format_from_suffix(path: Union[str, Path]) -> str:
-    suffix = Path(path).suffix.lower().lstrip(".")
-    if suffix in ("json", "ndjson"):
-        return "jsonl"
-    return suffix if suffix in TRACE_FORMATS else "csv"
+def _text_format(path: Union[str, Path],
+                 trace_format: Optional[str]) -> str:
+    """The named format, else the one ``path``'s suffix implies (CSV).
+
+    A ``.npz`` path is refused: single-file NPZ trace archives (v1)
+    are neither written nor read; the binary format is the sharded
+    ``satiot-traces-v2`` archive.
+    """
+    suffix = Path(path).suffix.lower()
+    if suffix == ".npz" or trace_format == "npz":
+        raise ValueError(
+            f"{path}: single-file NPZ trace archives (v1) are no longer "
+            f"written or read; spill a sharded satiot-traces-v2 archive "
+            f"with --spill and read it with "
+            f"satiot.streams.ShardedTraceReader")
+    fmt = trace_format or (
+        "jsonl" if suffix in (".jsonl", ".json", ".ndjson") else "csv")
+    if fmt not in TRACE_FORMATS:
+        raise ValueError(f"unknown trace format {fmt!r}; "
+                         f"choose from {TRACE_FORMATS}")
+    return fmt
 
 
 def _block_text_rows(block: TraceColumns) -> Iterator[dict]:
@@ -952,6 +882,18 @@ def _block_text_rows(block: TraceColumns) -> Iterator[dict]:
             else:
                 row[name] = decoded[name][i]
         yield row
+
+
+def _read_text(path: Union[str, Path], fmt: str) -> TraceColumns:
+    """Columns of a CSV or JSON-lines file written by :func:`write_text`."""
+    lists: Dict[str, List] = {name: [] for name in _FIELD_ORDER}
+    with Path(path).open(newline="") as fh:
+        rows = (csv.DictReader(fh) if fmt == "csv" else
+                (json.loads(line) for line in fh if line.strip()))
+        for row in rows:
+            for name in _FIELD_ORDER:
+                lists[name].append(row[name])
+    return _block_from_text_columns(lists, parse_bool=fmt == "csv")
 
 
 def _block_from_text_columns(lists: Dict[str, List],

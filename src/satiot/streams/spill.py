@@ -1,9 +1,8 @@
 """Sharded ``satiot-traces-v2`` spill archives.
 
-The v1 trace archive (:meth:`TraceDataset.to_npz`) is one NPZ holding
-the whole campaign — fine for a day, hopeless for the paper's
-seven-month longitudinal span.  The v2 layout spreads the same columnar
-payload over fixed-size shards plus a manifest::
+The binary trace archive: one campaign's columns spread over
+fixed-size NPZ shards plus a manifest, so a dataset as long as the
+paper's seven-month longitudinal span never has to fit in memory::
 
     <root>/manifest.json            # inventory, schema, fingerprints
     <root>/shards/shard-000000.npz  # rows [0, rows_per_shard)
@@ -81,7 +80,7 @@ def _maybe_kill_after_shard(shards_written: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Column block <-> NPZ payload
+# Column block <-> NPZ payload: the only trace-column codec for NPZ files
 # ----------------------------------------------------------------------
 def _block_payload(block: TraceColumns, magic: str,
                    index: int) -> Dict[str, np.ndarray]:
@@ -102,25 +101,37 @@ def _block_payload(block: TraceColumns, magic: str,
 
 
 def _block_from_archive(archive, path: Path, magic: str) -> TraceColumns:
+    """Decode a payload; a column off the schema fails here, by name.
+
+    Arrays must have the schema's dtype (``int32`` codes) and the
+    header's row count, and codes must index their table.
+    """
     stored = str(archive["__format__"][0])
     if stored != magic:
         raise TraceArchiveError(
             f"{path}: expected {magic!r}, found {stored!r}")
     n = int(archive["__n__"][0])
-    numeric = {
-        name: np.ascontiguousarray(archive[name])
-        for name in NUMERIC_FIELDS}
-    strings = {
-        name: StringColumn(
-            archive[f"{name}__codes"],
-            [str(s) for s in archive[f"{name}__table"]],
-            canonical=True)
-        for name in STRING_FIELDS}
-    for name, column in numeric.items():
-        if column.shape != (n,):
+
+    def column(key: str, dtype: np.dtype) -> np.ndarray:
+        array = archive[key]
+        if array.dtype != dtype or array.shape != (n,):
             raise TraceArchiveError(
-                f"{path}: column {name!r} has {column.shape[0]} rows, "
-                f"header says {n}")
+                f"{path}: column {key!r} is {array.dtype}{array.shape}, "
+                f"schema and header say {dtype}({n},)")
+        return array
+
+    numeric = {name: column(name, np.dtype(TRACE_FIELD_KINDS[name]))
+               for name in NUMERIC_FIELDS}
+    strings = {}
+    for name in STRING_FIELDS:
+        key = f"{name}__codes"
+        codes = column(key, np.dtype(np.int32))
+        table = [str(s) for s in archive[f"{name}__table"]]
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(table):
+            raise TraceArchiveError(
+                f"{path}: column {key!r} points outside its "
+                f"{len(table)}-entry table")
+        strings[name] = StringColumn(codes, table, canonical=True)
     return TraceColumns(numeric, strings, n)
 
 
@@ -134,7 +145,7 @@ def _load_shard_block(path: Path, magic: str) -> TraceColumns:
         raise
     except FileNotFoundError:
         raise TraceArchiveError(f"{path}: shard file is missing")
-    except (zipfile.BadZipFile, EOFError, OSError, KeyError,
+    except (zipfile.BadZipFile, EOFError, OSError, KeyError, IndexError,
             ValueError) as exc:
         raise TraceArchiveError(
             f"{path}: shard is truncated or corrupt "
@@ -194,6 +205,11 @@ class ShardSpillWriter:
     flushes the remainder as a final short shard and writes the
     manifest.
 
+    A new writer starts a new archive: it removes an earlier spill's
+    manifest, pending buffer and shards from ``root`` before writing,
+    so the directory never mixes two archives and stays manifest-less
+    until :meth:`finalize`.
+
     The writer is checkpointable: :meth:`snapshot_state` persists the
     partial-shard buffer (``pending.npz``) and returns a JSON-able
     state; :meth:`resume` reconstructs an equivalent writer, verifying
@@ -204,6 +220,14 @@ class ShardSpillWriter:
     def __init__(self, root: Union[str, Path],
                  rows_per_shard: int = DEFAULT_ROWS_PER_SHARD,
                  fingerprint: str = "") -> None:
+        self._open(root, rows_per_shard, fingerprint)
+        for name in (MANIFEST_NAME, PENDING_NAME):
+            (self.root / name).unlink(missing_ok=True)
+        self._prune_shards()
+
+    def _open(self, root: Union[str, Path], rows_per_shard: int,
+              fingerprint: str) -> None:
+        """An empty writer on ``root``; clears nothing (see resume)."""
         if rows_per_shard <= 0:
             raise ValueError("rows_per_shard must be positive")
         self.root = Path(root)
@@ -280,6 +304,13 @@ class ShardSpillWriter:
         self.bytes_spilled += len(data)
         _maybe_kill_after_shard(len(self._shards))
 
+    def _prune_shards(self) -> None:
+        """Delete shard files that are not in the inventory."""
+        known = {entry["name"] for entry in self._shards}
+        for stray in sorted((self.root / SHARD_DIR).glob("shard-*.npz")):
+            if f"{SHARD_DIR}/{stray.name}" not in known:
+                stray.unlink()
+
     def _durable_write(self, path: Path, data: bytes,
                        digest: str) -> None:
         """Write + verify; a torn write is detected and rewritten."""
@@ -334,8 +365,9 @@ class ShardSpillWriter:
             raise TraceArchiveError(
                 f"checkpoint format {state.get('format')!r} is not "
                 f"{STREAM_FORMAT!r}")
-        writer = cls(root, rows_per_shard=int(state["rows_per_shard"]),
-                     fingerprint=str(state.get("fingerprint", "")))
+        writer = cls.__new__(cls)
+        writer._open(root, int(state["rows_per_shard"]),
+                     str(state.get("fingerprint", "")))
         for entry in state["shards"]:
             path = writer.root / entry["name"]
             if not path.is_file():
@@ -347,10 +379,7 @@ class ShardSpillWriter:
         writer._shards = [dict(entry) for entry in state["shards"]]
         writer.rows_spilled = int(state["rows_spilled"])
         writer.bytes_spilled = int(state["bytes_spilled"])
-        known = {entry["name"] for entry in writer._shards}
-        for stray in sorted((writer.root / SHARD_DIR).glob("shard-*.npz")):
-            if f"{SHARD_DIR}/{stray.name}" not in known:
-                stray.unlink()
+        writer._prune_shards()
         pending = state.get("pending")
         if pending:
             pending_path = writer.root / PENDING_NAME

@@ -61,6 +61,39 @@ class TestDatasetExportErrors:
         assert "Dataset archive" in out
 
 
+class TestPassiveWriteErrors:
+    """``passive`` maps --out/--spill write failures to exit 2 too."""
+
+    def _run(self, capsys, *flags):
+        code = main(["passive", "--sites", "HK", "--days", "0.05", *flags])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "traces.csv"
+        code, err = self._run(capsys, "--out", str(target))
+        assert code == 2
+        assert "error: cannot write" in err
+        assert str(target) in err
+
+    def test_spill_onto_regular_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "not-a-dir"
+        target.write_text("a file where a directory must go")
+        code, err = self._run(capsys, "--spill", str(target))
+        assert code == 2
+        assert "error: cannot write" in err
+        assert str(target) in err
+
+    def test_npz_out_exits_2_pointing_at_spill(self, tmp_path, capsys):
+        target = tmp_path / "traces.npz"
+        code, err = self._run(capsys, "--out", str(target))
+        assert code == 2
+        assert str(target) in err
+        assert "--spill" in err
+        assert not target.exists()
+
+
 def _spill_archive(root):
     """A tiny sharded satiot-traces-v2 archive."""
     from satiot.streams.spill import ShardSpillWriter
@@ -107,6 +140,21 @@ class TestStreamArchiveInfo:
             {"format": "satiot-traces-v2"}))  # required keys missing
         assert main(["dataset", "info", str(tmp_path)]) == 2
         assert "error: cannot read" in capsys.readouterr().err
+
+
+class TestRetiredNpzManifest:
+    def test_verify_names_v1_and_spill(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "name": "x", "seed": 1, "days": 1.0, "constellations": {},
+            "trace_format": "npz", "total_traces": 3,
+            "sites": {"HK": 3}}))
+        (tmp_path / "HK").mkdir()
+        (tmp_path / "HK" / "traces.npz").write_bytes(b"PK old archive")
+        assert main(["dataset", "info", str(tmp_path), "--verify"]) == 2
+        err = capsys.readouterr().err
+        assert "v1" in err
+        assert "--spill" in err
+        assert "Traceback" not in err
 
 
 class TestSinetInfoIsManifestOnly:

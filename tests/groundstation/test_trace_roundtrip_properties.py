@@ -1,9 +1,11 @@
 """Property tests: trace archives are value-exact, order-preserving.
 
 For arbitrary trace tables — any finite floats, any int64 ids, unicode
-site/constellation names — writing through CSV, JSONL or NPZ and
-reading back must reproduce the exact same dataset in the exact same
-row order.  Formats must also agree with each other.
+site/constellation names — writing through CSV or JSONL and reading
+back must reproduce the exact same dataset in the exact same row order.
+The two formats must also agree with each other.  (The binary
+``satiot-traces-v2`` archive has its own round-trip properties in
+``tests/streams/test_spill_properties.py``.)
 """
 
 import numpy as np
@@ -78,26 +80,16 @@ def test_jsonl_roundtrip_exact(tmp_path_factory, ds):
     _assert_exact(ds, TraceDataset.from_jsonl(path))
 
 
-@settings(max_examples=60, deadline=None)
-@given(DATASETS)
-def test_npz_roundtrip_exact(tmp_path_factory, ds):
-    path = tmp_path_factory.mktemp("npz") / "t.npz"
-    ds.to_npz(path)
-    _assert_exact(ds, TraceDataset.from_npz(path))
-
-
 @settings(max_examples=30, deadline=None)
 @given(DATASETS)
 def test_formats_agree(tmp_path_factory, ds):
-    """CSV ↔ JSONL ↔ NPZ all reconstruct the same dataset."""
+    """CSV ↔ JSONL both reconstruct the same dataset."""
     tmp = tmp_path_factory.mktemp("cross")
     ds.to_csv(tmp / "t.csv")
     ds.to_jsonl(tmp / "t.jsonl")
-    ds.to_npz(tmp / "t.npz")
     from_csv = TraceDataset.from_csv(tmp / "t.csv")
     from_jsonl = TraceDataset.from_jsonl(tmp / "t.jsonl")
-    from_npz = TraceDataset.from_npz(tmp / "t.npz")
-    assert from_csv == from_jsonl == from_npz == ds
+    assert from_csv == from_jsonl == ds
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 
 from satiot.groundstation.traces import (BeaconTrace, StringColumn,
                                          TraceColumns, TraceDataset)
+from satiot.streams.spill import ShardedTraceReader, ShardSpillWriter
 
 
 def make_trace(**kwargs):
@@ -243,32 +244,46 @@ class TestTraceDataset:
         assert [t for t in back] == [t for t in ds]
 
     def test_npz_roundtrip(self, tmp_path):
+        """The binary round trip goes through the sharded archive; the
+        single-file NPZ archive (v1) is gone, so saving to a ``.npz``
+        path points there instead and writes nothing."""
         ds = self.make_dataset()
-        path = tmp_path / "traces.npz"
-        ds.to_npz(path)
-        back = TraceDataset.from_npz(path)
+        root = tmp_path / "archive"
+        writer = ShardSpillWriter(root, rows_per_shard=2)
+        writer.write_dataset(ds)
+        writer.finalize()
+        back = ShardedTraceReader(root).load()
         assert back == ds
         # Binary columns round-trip bit-exactly.
         assert np.array_equal(back.column("rssi_dbm"),
                               ds.column("rssi_dbm"))
+        path = tmp_path / "traces.npz"
+        for call in (lambda: ds.save(path),
+                     lambda: ds.save(tmp_path / "t.csv", trace_format="npz")):
+            with pytest.raises(ValueError, match="--spill") as info:
+                call()
+            assert "ShardedTraceReader" in str(info.value)
+        assert not path.exists()
 
     def test_npz_rejects_foreign_archives(self, tmp_path):
         path = tmp_path / "other.npz"
+        with pytest.raises(ValueError, match="--spill") as info:
+            TraceDataset.load(path)
+        assert "ShardedTraceReader" in str(info.value)
         np.savez(path, __format__=np.asarray(["not-traces"]))
-        with pytest.raises(ValueError, match="unsupported"):
-            TraceDataset.from_npz(path)
+        with pytest.raises(ValueError, match="ShardedTraceReader"):
+            TraceDataset.load(path)
 
     def test_save_load_by_suffix(self, tmp_path):
         ds = self.make_dataset()
-        for suffix, fmt in (("csv", "csv"), ("jsonl", "jsonl"),
-                            ("npz", "npz")):
+        for suffix, fmt in (("csv", "csv"), ("jsonl", "jsonl")):
             path = tmp_path / f"traces.{suffix}"
             assert ds.save(path) == fmt
             assert TraceDataset.load(path) == ds
 
     def test_empty_roundtrips(self, tmp_path):
         empty = TraceDataset()
-        for fmt in ("csv", "jsonl", "npz"):
+        for fmt in ("csv", "jsonl"):
             path = tmp_path / f"empty.{fmt}"
             empty.save(path, trace_format=fmt)
             assert len(TraceDataset.load(path)) == 0

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from satiot.groundstation.traces import TraceColumns, TraceDataset
+from satiot.streams.npzio import deterministic_npz_bytes
 from satiot.streams.spill import (DEFAULT_ROWS_PER_SHARD, MANIFEST_NAME,
                                   SHARD_FORMAT, STREAM_FORMAT,
                                   ShardedTraceReader, ShardSpillWriter,
-                                  TraceArchiveError, is_stream_archive,
+                                  TraceArchiveError, _block_payload,
+                                  _load_shard_block, is_stream_archive,
                                   read_stream_manifest)
 from tests.streams.conftest import make_block, sha_tree
 
@@ -141,7 +144,76 @@ class TestCorruption:
         spill(tmp_path, [make_block(8, seed=15)])
         shard = next((tmp_path / "shards").glob("shard-*.npz"))
         with pytest.raises(ValueError, match="ShardedTraceReader"):
-            TraceDataset.from_npz(shard)
+            TraceDataset.load(shard)
+
+
+class TestShardSchema:
+    """A shard whose columns break the schema is refused by name."""
+
+    @pytest.mark.parametrize("key, corrupt", [
+        pytest.param("time_s", lambda a: a.astype(np.float32),
+                     id="time_s-float32"),
+        pytest.param("norad_id", lambda a: a.astype(np.int32),
+                     id="norad_id-int32"),
+        pytest.param("raining", lambda a: a.astype(np.uint8),
+                     id="raining-uint8"),
+        pytest.param("site__codes", lambda a: a[:4], id="codes-short"),
+        pytest.param("site__codes", lambda a: a.astype(np.int64),
+                     id="codes-int64"),
+        pytest.param("pass_id__codes", lambda a: a + 100,
+                     id="codes-past-table"),
+        pytest.param("pass_id__codes", lambda a: a - 1,
+                     id="codes-negative"),
+    ])
+    def test_bad_column_names_file_and_column(self, tmp_path, key,
+                                              corrupt):
+        payload = _block_payload(make_block(10, seed=24), SHARD_FORMAT, 0)
+        payload[key] = corrupt(payload[key])
+        path = tmp_path / "shard-000000.npz"
+        path.write_bytes(deterministic_npz_bytes(payload))
+        with pytest.raises(TraceArchiveError, match=key) as info:
+            _load_shard_block(path, SHARD_FORMAT)
+        assert str(path) in str(info.value)
+
+    def test_scalar_header_is_corrupt(self, tmp_path):
+        payload = _block_payload(make_block(10, seed=24), SHARD_FORMAT, 0)
+        payload["__n__"] = np.int64(10)
+        path = tmp_path / "shard-000000.npz"
+        path.write_bytes(deterministic_npz_bytes(payload))
+        with pytest.raises(TraceArchiveError, match="corrupt"):
+            _load_shard_block(path, SHARD_FORMAT)
+
+    def test_unverified_read_still_checks_columns(self, tmp_path):
+        spill(tmp_path, [make_block(10, seed=25)])
+        payload = _block_payload(make_block(10, seed=25), SHARD_FORMAT, 0)
+        payload["time_s"] = payload["time_s"].astype(np.float32)
+        payload["site__codes"] = payload["site__codes"][:4]
+        shard = tmp_path / "shards" / "shard-000000.npz"
+        shard.write_bytes(deterministic_npz_bytes(payload))
+        with pytest.raises(TraceArchiveError, match="time_s"):
+            ShardedTraceReader(tmp_path).load(verify=False)
+
+
+class TestFreshSpill:
+    """A new writer replaces whatever archive its directory held."""
+
+    def test_respill_leaves_no_stale_shards(self, tmp_path):
+        spill(tmp_path / "reused", [make_block(50, seed=20)],
+              rows_per_shard=10)
+        spill(tmp_path / "reused", [make_block(15, seed=21)],
+              rows_per_shard=10)
+        spill(tmp_path / "clean", [make_block(15, seed=21)],
+              rows_per_shard=10)
+        assert sha_tree(tmp_path / "reused") == sha_tree(tmp_path / "clean")
+
+    def test_unfinished_respill_has_no_manifest(self, tmp_path):
+        spill(tmp_path, [make_block(50, seed=22)], rows_per_shard=10)
+        writer = ShardSpillWriter(tmp_path, rows_per_shard=10,
+                                  fingerprint="fp")
+        writer.write(make_block(15, seed=23))   # dies before finalize
+        assert not is_stream_archive(tmp_path)
+        assert [p.name for p in (tmp_path / "shards").iterdir()] \
+            == ["shard-000000.npz"]
 
 
 class TestSnapshotResume:
