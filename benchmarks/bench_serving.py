@@ -59,6 +59,7 @@ import numpy as np
 
 from satiot.serving import (FleetConfig, ServingConfig, ServingFleet,
                             ServingServer)
+from satiot.serving.metrics import merge_snapshots
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -203,7 +204,8 @@ async def _bench_mode(batching: bool, concurrency_levels, horizon_s,
                   f"{level['throughput_rps']:8.1f} req/s  "
                   f"p50 {level['latency_ms']['p50']:8.2f} ms  "
                   f"p99 {level['latency_ms']['p99']:8.2f} ms")
-        passes_metrics = server.metrics.endpoint("passes").to_dict()
+        passes_metrics = merge_snapshots(
+            [server.metrics.snapshot()])["passes"]
         return {
             "mode": "batched" if batching else "unbatched",
             "levels": levels,

@@ -26,7 +26,7 @@ from .core import (ActiveCampaign, ActiveCampaignConfig,
 from .groundstation import (BeaconReceiver, BeaconTrace, GroundStation,
                             Scheduler, TraceColumns, TraceDataset)
 from .orbits import (SGP4, TLE, ContactWindow, Epoch, GeodeticPoint,
-                     PassPredictor, parse_tle, parse_tle_file)
+                     PassPredictor, parse_tle)
 from .phy import DtSChannel, LinkBudget, LoRaModulation
 from .runtime import (CampaignTelemetry, EphemerisCache, Shard,
                       ShardError, ShardExecutor, ShardTelemetry)
@@ -43,7 +43,7 @@ __all__ = [
     "BeaconReceiver", "BeaconTrace", "GroundStation", "Scheduler",
     "TraceColumns", "TraceDataset",
     "SGP4", "TLE", "ContactWindow", "Epoch", "GeodeticPoint",
-    "PassPredictor", "parse_tle", "parse_tle_file",
+    "PassPredictor", "parse_tle",
     "DtSChannel", "LinkBudget", "LoRaModulation",
     "CampaignTelemetry", "EphemerisCache", "Shard", "ShardError",
     "ShardExecutor", "ShardTelemetry",

@@ -6,12 +6,11 @@ gzip-compressed.  This module reads such files **offline** — the repo
 never fetches from the network; fixtures under ``tests/fixtures/`` and
 synthesized dumps stand in for live catalogs.
 
-Unlike the permissive :func:`satiot.orbits.tle.parse_tle_file` (which
-skips anything that does not look like a line 1), ingest is *strict*:
-checksums are verified, epochs validated, and any structural damage —
-orphan line 2, two consecutive name lines, a dangling line 1 at EOF —
-raises :class:`CatalogFormatError` carrying the 1-based line number, so
-a corrupt thousand-satellite file points at the broken record instead of
+This is the one TLE file reader, and it is *strict*: checksums are
+verified, epochs validated, and any structural damage — orphan line 2,
+two consecutive name lines, a dangling line 1 at EOF — raises
+:class:`CatalogFormatError` carrying the 1-based line number, so a
+corrupt thousand-satellite file points at the broken record instead of
 silently dropping it.
 
 The inverse direction (:func:`format_catalog` / :func:`write_catalog`)

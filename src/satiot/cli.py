@@ -25,8 +25,10 @@ Subcommands mirror the library's workflows::
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 
@@ -43,7 +45,7 @@ from .core.contacts import analyze_contacts
 from .core.performance import compare_systems
 from .core.report import format_kv, format_table
 from .core.sites import SITES
-from .groundstation.traces import TRACE_FORMATS
+from .groundstation.traces import TRACE_FORMATS, _text_format
 from .orbits.frames import GeodeticPoint
 from .orbits.groundtrack import CoverageGrid
 from .orbits.passes import find_passes_fleet
@@ -177,6 +179,9 @@ def cmd_presence(args: argparse.Namespace) -> int:
 
 
 def cmd_passive(args: argparse.Namespace) -> int:
+    refused = _refuse_outputs(args.out, [args.spill])
+    if refused is not None:
+        return refused
     _install_faults(args)
     sites = tuple(s.strip() for s in args.sites.split(",") if s.strip())
     config = PassiveCampaignConfig(sites=sites, days=args.days,
@@ -216,6 +221,36 @@ def _dataset_error(action: str, root: str, error: Exception) -> int:
     return 2
 
 
+def _refuse_outputs(out: Optional[str],
+                    dirs: Sequence[Optional[str]]) -> Optional[int]:
+    """Check output paths before the campaign runs; the first that
+    cannot be written exits 2 through :func:`_dataset_error`.
+
+    ``out`` (a trace file) needs a suffix :meth:`TraceDataset.save`
+    accepts and an existing directory; ``dirs`` (archive roots, created
+    on demand) must not be, or lie below, a regular file.  Errors that
+    only show up while writing are still reported after the run.
+    """
+    try:
+        if out:
+            _text_format(out, None)
+            if not Path(out).parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, "No such directory",
+                                        str(Path(out).parent))
+    except (OSError, ValueError) as error:
+        return _dataset_error("write", out, error)
+    for path in filter(None, dirs):
+        try:
+            nearest = next(p for p in (Path(path), *Path(path).parents)
+                           if p.exists())
+            if not nearest.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, "Not a directory",
+                                         str(nearest))
+        except OSError as error:
+            return _dataset_error("write", path, error)
+    return None
+
+
 def _spill_result(result: PassiveCampaignResult,
                   args: argparse.Namespace) -> int:
     """Spill a campaign result into ``--spill DIR`` (when given)."""
@@ -233,6 +268,9 @@ def _spill_result(result: PassiveCampaignResult,
 
 def cmd_dataset_export(args: argparse.Namespace) -> int:
     from .datasets import export_dataset
+    refused = _refuse_outputs(None, [args.root, args.spill])
+    if refused is not None:
+        return refused
     _install_faults(args)
     sites = tuple(s.strip() for s in args.sites.split(",") if s.strip())
     config = PassiveCampaignConfig(sites=sites, days=args.days,
@@ -284,8 +322,6 @@ def _stream_archive_info(args: argparse.Namespace) -> int:
 
 
 def cmd_dataset_info(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .datasets import _site_traces_path, read_manifest
     from .streams.spill import is_stream_archive
     if is_stream_archive(args.root):
@@ -521,11 +557,13 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def _catalog_error(action: str, error: Exception) -> int:
-    """Uniform catalog-CLI failure: message on stderr, exit 2.
+def _cli_error(action: str, error: Exception) -> int:
+    """Uniform catalog- and scenario-CLI failure: message on stderr,
+    exit 2.
 
-    Selector misses, corrupt catalog files and bad arguments are
-    operator mistakes, not crashes — no traceback.
+    Selector misses, corrupt catalog files, spec typos, unreadable
+    files, non-run directories and bad arguments are operator
+    mistakes, not crashes — no traceback.
     """
     print(f"error: cannot {action}: {error}", file=sys.stderr)
     return 2
@@ -552,7 +590,7 @@ def cmd_catalog_insert(args: argparse.Namespace) -> int:
                 group_from_name=args.group_from_name,
                 validate_checksum=not args.no_validate_checksum)
     except (OSError, TLEError, ValueError) as error:
-        return _catalog_error(f"ingest {args.file!r}", error)
+        return _cli_error(f"ingest {args.file!r}", error)
     print(f"{args.db}: {stats.inserted} element sets inserted "
           f"({stats.duplicates} duplicates skipped, "
           f"{stats.new_objects} new objects)")
@@ -566,7 +604,7 @@ def cmd_catalog_get(args: argparse.Namespace) -> int:
             entries = db.get(args.selectors or None,
                              as_of_jd=args.as_of)
     except (OSError, TleNotFound, ValueError) as error:
-        return _catalog_error(f"select from {args.db!r}", error)
+        return _cli_error(f"select from {args.db!r}", error)
     if args.format == "table":
         print(format_table(_CATALOG_TABLE_HEADER,
                            _catalog_entry_rows(entries), precision=4,
@@ -584,7 +622,7 @@ def cmd_catalog_history(args: argparse.Namespace) -> int:
         with open_any_catalog(args.db) as db:
             entries = db.history(args.selectors, last=args.last)
     except (OSError, TleNotFound, ValueError) as error:
-        return _catalog_error(f"read history from {args.db!r}", error)
+        return _cli_error(f"read history from {args.db!r}", error)
     print(format_table(_CATALOG_TABLE_HEADER,
                        _catalog_entry_rows(entries), precision=4,
                        title=f"{len(entries)} element set(s), "
@@ -598,7 +636,7 @@ def cmd_catalog_find(args: argparse.Namespace) -> int:
         with open_any_catalog(args.db) as db:
             entries = db.find(args.text)
     except (OSError, ValueError) as error:
-        return _catalog_error(f"search {args.db!r}", error)
+        return _cli_error(f"search {args.db!r}", error)
     print(format_table(_CATALOG_TABLE_HEADER,
                        _catalog_entry_rows(entries), precision=4,
                        title=f"{len(entries)} match(es) for "
@@ -612,7 +650,7 @@ def cmd_catalog_stats(args: argparse.Namespace) -> int:
         with open_any_catalog(args.db) as db:
             stats = db.stats()
     except (OSError, ValueError) as error:
-        return _catalog_error(f"read {args.db!r}", error)
+        return _cli_error(f"read {args.db!r}", error)
     print(format_kv([
         ("objects", stats.objects),
         ("element sets", stats.element_sets),
@@ -647,19 +685,8 @@ def cmd_catalog_synth(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def _scenario_error(action: str, error: Exception) -> int:
-    """Uniform scenario-CLI failure: message on stderr, exit 2.
-
-    Spec typos, unreadable files and non-run directories are operator
-    mistakes, not crashes — no traceback.
-    """
-    print(f"error: cannot {action}: {error}", file=sys.stderr)
-    return 2
-
-
 def _load_scenario_document(path: str) -> dict:
     import json
-    from pathlib import Path
 
     from .scenarios import ScenarioError
     try:
@@ -684,7 +711,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
             document = smoke_document(document)
         spec = parse_scenario(document)
     except ScenarioError as error:
-        return _scenario_error(f"run scenario {args.spec!r}", error)
+        return _cli_error(f"run scenario {args.spec!r}", error)
     run = run_scenario(spec, workers=args.workers, out_dir=args.out,
                        spill_dir=args.spill,
                        rows_per_shard=args.rows_per_shard,
@@ -706,7 +733,7 @@ def cmd_scenario_grid(args: argparse.Namespace) -> int:
         spec = load_scenario(args.spec)
         cells = compile_cells(spec)
     except ScenarioError as error:
-        return _scenario_error(f"expand scenario {args.spec!r}", error)
+        return _cli_error(f"expand scenario {args.spec!r}", error)
     print(render_grid(spec, cells))
     return 0
 
@@ -717,7 +744,7 @@ def cmd_scenario_diff(args: argparse.Namespace) -> int:
         diff, manifest_a, manifest_b = diff_runs(
             args.run_a, args.run_b, rtol=args.rtol, atol=args.atol)
     except (OSError, ValueError, ScenarioError) as error:
-        return _scenario_error(
+        return _cli_error(
             f"diff {args.run_a!r} vs {args.run_b!r}", error)
     print(render_diff_report(diff, manifest_a, manifest_b))
     return 0 if diff.identical else 1

@@ -21,10 +21,9 @@ back in configured site order via array concatenation.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..constellations.catalog import (Constellation, Satellite,
                                       build_all_constellations)
@@ -36,7 +35,7 @@ from ..orbits.timebase import Epoch
 from ..phy.channel import ChannelParams
 from ..runtime.ephemeris_cache import EphemerisCache, get_default_cache
 from ..runtime.executor import Shard, ShardExecutor
-from ..runtime.telemetry import CampaignTelemetry, ShardTelemetry
+from ..runtime.telemetry import CampaignTelemetry
 from ..sim.rng import RngStreams
 from ..sim.weather import WeatherProcess
 from .sites import CONTINENT_SITES, SITES, MeasurementSite
@@ -175,8 +174,8 @@ class PassiveCampaignResult:
 
 # ----------------------------------------------------------------------
 # Shard-level computation (module-level: must be picklable for the
-# process pool, and shared verbatim by the serial path so both paths are
-# bit-identical by construction).
+# process pool; serial runs execute the same shards in-process, so both
+# paths are bit-identical by construction).
 # ----------------------------------------------------------------------
 def _campaign_inputs(cfg: PassiveCampaignConfig,
                      ) -> Tuple[Dict[str, Constellation],
@@ -201,15 +200,16 @@ def _deploy_stations(site: MeasurementSite) -> List[GroundStation]:
 def _run_site(cfg: PassiveCampaignConfig, code: str,
               satellites: Sequence[Satellite], epoch: Epoch,
               cache: Optional[EphemerisCache],
-              ) -> Tuple[SiteResult, ShardTelemetry]:
+              ) -> Tuple[SiteResult, Dict[str, int]]:
     """Simulate one site — a pure function of ``(config, site)``.
 
     RNG streams are derived from ``(seed, site, norad, per-site pass
     index)``, never from cross-site state, which is what makes the
     result independent of which other sites run, in which order, and in
-    which process.
+    which process.  Returns the site's result and its work counters
+    (:class:`~satiot.runtime.telemetry.ShardTelemetry` fields); the
+    executor times the shard.
     """
-    t0 = time.perf_counter()
     stats0 = cache.stats.snapshot() if cache is not None else None
 
     streams = RngStreams(cfg.seed)
@@ -237,8 +237,6 @@ def _run_site(cfg: PassiveCampaignConfig, code: str,
         rngs.append(streams.get(f"rx/{code}/{norad}/{k}"))
     receptions = receiver.receive_passes(schedule.assigned, epoch,
                                          pass_ids, rngs, weather=weather)
-    beacons = sum(reception.beacons_sent for reception in receptions)
-    traces = sum(len(reception.traces) for reception in receptions)
 
     site_result = SiteResult(site=site, stations=stations,
                              schedule=schedule, receptions=receptions,
@@ -248,14 +246,16 @@ def _run_site(cfg: PassiveCampaignConfig, code: str,
         stats1 = cache.stats.snapshot()
         hits = (stats1[0] - stats0[0]) + (stats1[2] - stats0[2])
         misses = (stats1[1] - stats0[1]) + (stats1[3] - stats0[3])
-    grid_bytes = (cache.grid_resident_bytes()
-                  if cache is not None else 0)
-    telemetry = ShardTelemetry(
-        label=f"site:{code}", wall_s=time.perf_counter() - t0,
-        passes=len(schedule.assigned), beacons=beacons, traces=traces,
-        cache_hits=hits, cache_misses=misses, grid_bytes=grid_bytes,
-        worker=f"pid:{os.getpid()}")
-    return site_result, telemetry
+    counters = {
+        "passes": len(schedule.assigned),
+        "beacons": sum(r.beacons_sent for r in receptions),
+        "traces": sum(len(r.traces) for r in receptions),
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "grid_bytes": (cache.grid_resident_bytes()
+                       if cache is not None else 0),
+    }
+    return site_result, counters
 
 
 def _resolve_cache(spec) -> Optional[EphemerisCache]:
@@ -266,31 +266,13 @@ def _resolve_cache(spec) -> Optional[EphemerisCache]:
         return spec
     if spec == DEFAULT_CACHE:
         return get_default_cache()
-    if spec == "memory":
-        return EphemerisCache()
     return EphemerisCache(disk_dir=spec)
 
 
-def _cache_spec_for_worker(spec) -> Union[str, None]:
-    """Picklable description of the cache for worker processes.
-
-    Custom cache *objects* cannot cross the process boundary; workers
-    rebuild an equivalent cache (sharing the disk tier when one is
-    configured, else a fresh per-process memory cache).
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, EphemerisCache):
-        return str(spec.disk_dir) if spec.disk_dir else "memory"
-    return spec  # "default" or a disk path
-
-
-def _site_shard_worker(shard: Shard) -> Tuple[SiteResult, ShardTelemetry]:
-    """Process-pool entry point: recompute one site from its payload."""
-    cfg, code, cache_spec = shard.payload
-    cache = _resolve_cache(cache_spec)
-    _, satellites, epoch = _campaign_inputs(cfg)
-    return _run_site(cfg, code, satellites, epoch, cache)
+def _site_shard_worker(shard: Shard,
+                       ) -> Tuple[SiteResult, Dict[str, int]]:
+    """Shard entry point: simulate one site from its payload."""
+    return _run_site(*shard.payload)
 
 
 # ----------------------------------------------------------------------
@@ -323,34 +305,25 @@ class PassiveCampaign:
         cfg = self.config
         t0 = time.perf_counter()
         constellations, satellites, epoch = _campaign_inputs(cfg)
+        cache = _resolve_cache(self.ephemeris_cache)
+        shards = [Shard(index=i, kind="site", key=code,
+                        payload=(cfg, code, satellites, epoch, cache))
+                  for i, code in enumerate(cfg.sites)]
         executor = ShardExecutor(self.workers)
-
-        if executor.workers > 1 and len(cfg.sites) > 1:
-            spec = _cache_spec_for_worker(self.ephemeris_cache)
-            shards = [Shard(index=i, kind="site", key=code,
-                            payload=(cfg, code, spec))
-                      for i, code in enumerate(cfg.sites)]
-            outcomes = executor.map(_site_shard_worker, shards)
-            pairs = [outcome.result for outcome in outcomes]
-        else:
-            cache = _resolve_cache(self.ephemeris_cache)
-            pairs = [_run_site(cfg, code, satellites, epoch, cache)
-                     for code in cfg.sites]
+        outcomes = executor.map(_site_shard_worker, shards)
 
         result = PassiveCampaignResult(
             config=cfg, epoch=epoch, constellations=constellations,
             site_results={})
-        shard_telemetry: List[ShardTelemetry] = []
-        for code, (site_result, telemetry) in zip(cfg.sites, pairs):
+        for code, outcome in zip(cfg.sites, outcomes):
+            site_result, _ = outcome.result
             result.site_results[code] = site_result
             for reception in site_result.receptions:
                 # Column blocks are adopted wholesale (no per-row
                 # work); the dataset concatenates arrays lazily on
                 # first columnar access.
                 result.dataset.extend(reception.traces)
-            shard_telemetry.append(telemetry)
-        result.telemetry = CampaignTelemetry(
-            workers=executor.workers, mode=executor.mode,
-            wall_s=time.perf_counter() - t0, shards=shard_telemetry,
-            retries=executor.retries, fallbacks=executor.fallbacks)
+        result.telemetry = CampaignTelemetry.from_outcomes(
+            executor, outcomes, time.perf_counter() - t0,
+            [outcome.result[1] for outcome in outcomes])
         return result

@@ -26,8 +26,10 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .core.campaign import PassiveCampaignResult
-from .groundstation.traces import (TraceColumns, TraceDataset,
-                                   iter_sorted_chunks, write_text)
+from .core.sites import SITES
+from .groundstation.traces import (TRACE_FORMATS, TraceColumns,
+                                   TraceDataset, iter_sorted_chunks,
+                                   write_text)
 
 __all__ = ["DatasetManifest", "export_dataset", "load_dataset",
            "read_manifest"]
@@ -76,6 +78,32 @@ def _site_blocks(dataset: TraceDataset,
     return blocks
 
 
+def _clear_previous_export(root: Path) -> None:
+    """Remove an earlier export's manifest, then the site files it names.
+
+    Files it does not name stay.  The manifest goes first, so an
+    interrupted clear never leaves one naming missing files.  It is
+    outside input: only known site codes and formats are followed, and
+    an unreadable one names nothing.
+    """
+    path = root / MANIFEST_NAME
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return
+    path.unlink()
+    try:
+        previous = DatasetManifest.from_json(text)
+        site_files = [
+            _site_traces_path(root, code, previous.trace_format)
+            for code in previous.sites
+            if code in SITES and previous.trace_format in TRACE_FORMATS]
+    except (ValueError, TypeError, AttributeError):
+        return
+    for site_file in site_files:
+        site_file.unlink(missing_ok=True)
+
+
 def export_dataset(result: PassiveCampaignResult,
                    root: Union[str, Path],
                    name: str = "sinet-sim",
@@ -87,10 +115,13 @@ def export_dataset(result: PassiveCampaignResult,
     campaign, and is byte-identical to
     ``dataset.by_site(code).sorted_by_time().save(path)``: per-block
     site filtering keeps the consolidated row order, and the chunks
-    replay the same stable time sort.
+    replay the same stable time sort.  An earlier export in ``root``
+    is cleared first (:func:`_clear_previous_export`) and the manifest
+    is written last.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    _clear_previous_export(root)
     site_counts: Dict[str, int] = {}
     for code in result.site_results:
         path = _site_traces_path(root, code, trace_format)

@@ -591,11 +591,6 @@ class TraceDataset:
         if traces is not None:
             self.extend(traces)
 
-    # -- construction --------------------------------------------------
-    @classmethod
-    def from_columns(cls, block: TraceColumns) -> "TraceDataset":
-        return cls(block)
-
     # -- mutation ------------------------------------------------------
     def append(self, trace: BeaconTrace) -> None:
         self._pending.append(trace)

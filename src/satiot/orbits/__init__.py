@@ -15,7 +15,7 @@ from .passes import (ContactWindow, PassPredictor, find_passes_fleet,
 from .sgp4 import SGP4, DecayedError, DeepSpaceError, SGP4Error
 from .sgp4_batch import SGP4Batch
 from .timebase import Epoch, gmst, jday, invjday
-from .tle import TLE, TLEError, checksum, format_tle, parse_tle, parse_tle_file
+from .tle import TLE, TLEError, checksum, format_tle, parse_tle
 
 __all__ = [
     "DEG2RAD", "RAD2DEG", "TWO_PI", "SECONDS_PER_DAY",
@@ -33,5 +33,5 @@ __all__ = [
     "SGP4", "SGP4Error", "DeepSpaceError", "DecayedError",
     "SGP4Batch",
     "Epoch", "gmst", "jday", "invjday",
-    "TLE", "TLEError", "checksum", "parse_tle", "parse_tle_file", "format_tle",
+    "TLE", "TLEError", "checksum", "parse_tle", "format_tle",
 ]

@@ -13,14 +13,13 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, List, Tuple
+from typing import Tuple
 
 
 from .constants import DEG2RAD, MINUTES_PER_DAY, TWO_PI
 from .timebase import Epoch, epoch_from_tle_date
 
-__all__ = ["TLE", "TLEError", "checksum", "parse_tle", "parse_tle_file",
-           "format_tle"]
+__all__ = ["TLE", "TLEError", "checksum", "parse_tle", "format_tle"]
 
 
 class TLEError(ValueError):
@@ -322,23 +321,3 @@ def format_tle(tle: TLE) -> Tuple[str, str]:
     if len(line1) != 69 or len(line2) != 69:
         raise TLEError("internal error: formatted line width != 69")
     return line1, line2
-
-
-def parse_tle_file(lines: Iterable[str],
-                   validate_checksum: bool = True) -> List[TLE]:
-    """Parse a 2-line or 3-line (named) element file."""
-    out: List[TLE] = []
-    pending_name = ""
-    it: Iterator[str] = iter([ln.rstrip("\n") for ln in lines if ln.strip()])
-    for line in it:
-        if line.startswith("1 ") and len(line) >= 69:
-            try:
-                line2 = next(it)
-            except StopIteration:
-                raise TLEError("dangling line 1 at end of file") from None
-            out.append(parse_tle(line, line2, name=pending_name,
-                                 validate_checksum=validate_checksum))
-            pending_name = ""
-        else:
-            pending_name = line.strip()
-    return out

@@ -136,8 +136,8 @@ class CacheStats:
     disk_corrupt: int = 0
     #: Disk-tier I/O errors swallowed (read-only dir, full disk, ...).
     disk_errors: int = 0
-    #: Approximate resident bytes of the in-memory grid tier, refreshed
-    #: by :meth:`EphemerisCache.grid_resident_bytes`.
+    #: Approximate resident bytes of the in-memory grid tier, kept
+    #: current as stacks enter and leave it.
     grid_bytes: int = 0
     #: Of :attr:`grid_bytes`: bytes owned privately by this process.
     grid_private_bytes: int = 0
@@ -187,6 +187,11 @@ class EphemerisCache:
         demand; safe to share between concurrent worker processes
         (writes go through per-pid temp files + atomic rename).
         Segments load as read-only memmaps.
+
+    A cache pickles as its configuration, never its contents: it
+    arrives in a shard worker empty, with the same capacities and disk
+    tier, and the process-default cache arrives as the worker's own
+    :func:`get_default_cache`.
     """
 
     def __init__(self, max_grids: int = 256, max_pass_lists: int = 4096,
@@ -200,11 +205,19 @@ class EphemerisCache:
         self._warned_disk = False
         self._grids: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" \
             = OrderedDict()
+        #: Satellites held by the grid LRU (a stack of N counts N).
+        self._grid_load = 0
         self._pass_lists: "OrderedDict[tuple, Tuple[ContactWindow, ...]]" \
             = OrderedDict()
         # Most recent offsets grid served per (fleet, epoch) — the
         # candidate prefix for the incremental extension fast path.
         self._extents: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+
+    def __reduce__(self):
+        if self is _default_cache:
+            return get_default_cache, ()
+        return EphemerisCache, (self.max_grids, self.max_pass_lists,
+                                self.disk_dir)
 
     # ------------------------------------------------------------------
     # Keys
@@ -315,9 +328,9 @@ class EphemerisCache:
         the concatenated stack is bit-identical to a cold full-range
         propagation (property-tested in tests/twin).  The caller
         republishes the combined stack under the full key — including a
-        new segment, which is how a restarted fleet worker re-attaches
-        to grids its siblings extended.  The ``twin.extend`` fault site
-        abandons the fast path (full recompute; output unchanged).
+        new segment, which any other cache over the same directory then
+        hits outright.  The ``twin.extend`` fault site abandons the
+        fast path (full recompute; output unchanged).
         """
         if fault_fires("twin.extend"):
             return None
@@ -347,37 +360,6 @@ class EphemerisCache:
         # an mmap'd prefix is copied out, never written through.
         return (np.concatenate([r_prev, r_suf], axis=1),
                 np.concatenate([v_prev, v_suf], axis=1))
-
-    def extend_constellation_grid(self, propagators: Sequence[SGP4],
-                                  epoch: Epoch,
-                                  offsets_s: Sequence[float],
-                                  prefix_offsets_s: Optional[
-                                      Sequence[float]] = None,
-                                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-fleet grid over ``offsets_s``, extending incrementally.
-
-        Identical contract (and bit-identical output) to
-        :meth:`constellation_grid`; the difference is purely how the
-        answer is produced.  When the previously served grid for this
-        fleet — or the explicit ``prefix_offsets_s`` — is a strict
-        prefix of ``offsets_s``, only the new suffix instants are
-        propagated and the stacks are concatenated.  A cache that
-        cannot see the prefix (evicted, no disk tier) degrades to a
-        full fill, never to a wrong answer.
-
-        ``prefix_offsets_s`` seeds the extent record explicitly: a
-        process that did not itself serve the prefix (a restarted
-        fleet worker, a fresh cache over an existing ``disk_dir``) can
-        name the grid it expects to find in the shared segment tier.
-        """
-        if prefix_offsets_s is not None:
-            offsets = np.asarray(offsets_s, dtype=float)
-            prefix = np.asarray(prefix_offsets_s, dtype=float)
-            if 0 < prefix.size < offsets.size and \
-                    offsets[:prefix.size].tobytes() == prefix.tobytes():
-                tles = [p.tle for p in propagators]
-                self._record_extent(tles, epoch, prefix)
-        return self.constellation_grid(propagators, epoch, offsets_s)
 
     # ------------------------------------------------------------------
     # Pass predictions (memory tier only)
@@ -501,45 +483,53 @@ class EphemerisCache:
         stack just inserted is never evicted, so a fill of more than
         ``max_grids`` satellites stays cached alone.
         """
+        replaced = self._grids.pop(key, None)
+        if replaced is not None:
+            self._charge(replaced, -1)
         self._grids[key] = grid
-        self._grids.move_to_end(key)
-        load = sum(len(r) for r, _ in self._grids.values())
-        while load > self.max_grids and len(self._grids) > 1:
-            _, (r, _) = self._grids.popitem(last=False)
-            load -= len(r)
+        self._charge(grid, 1)
+        while self._grid_load > self.max_grids and len(self._grids) > 1:
+            _, evicted = self._grids.popitem(last=False)
+            self._charge(evicted, -1)
+
+    def _charge(self, grid: Tuple[np.ndarray, np.ndarray],
+                sign: int) -> None:
+        """Add (``sign=1``) or remove (``-1``) one stack's satellites
+        and resident bytes from the grid tier's running totals."""
+        self._grid_load += sign * len(grid[0])
+        stats = self.stats
+        for arr in grid:
+            if isinstance(arr, np.memmap):
+                stats.grid_mmap_bytes += sign * arr.nbytes
+            else:
+                stats.grid_private_bytes += sign * arr.nbytes
+        stats.grid_bytes = stats.grid_private_bytes + stats.grid_mmap_bytes
 
     def clear_memory(self) -> None:
         """Drop the in-memory tier (the disk tier is untouched)."""
         self._grids.clear()
+        self._grid_load = 0
+        self.stats.grid_bytes = 0
+        self.stats.grid_private_bytes = 0
+        self.stats.grid_mmap_bytes = 0
         self._pass_lists.clear()
         self._extents.clear()
 
     def grid_resident_bytes(self) -> int:
         """Approximate resident bytes of the in-memory grid tier.
 
-        Sums ``nbytes`` over every cached stack.  Stacks backed by
-        mmap'd segments are tallied separately
+        The ``nbytes`` of every cached stack, kept current as stacks
+        enter and leave the LRU (:attr:`CacheStats.grid_bytes`).
+        Stacks backed by mmap'd segments are tallied separately
         (:attr:`CacheStats.grid_mmap_bytes`): those pages are resident
         **once machine-wide**, no matter how many worker processes map
         them, while :attr:`CacheStats.grid_private_bytes` is paid per
-        process.  Refreshes :attr:`CacheStats.grid_bytes`.
+        process.
 
-        Safe to call from another thread while a batch fills the LRU
-        (the serving ``/metrics`` path): it walks a snapshot of the
-        entries taken in one call, never the live ``OrderedDict``.
+        Never walks the LRU, so it is safe to call from another thread
+        while a batch fills it (the serving ``/metrics`` path).
         """
-        private = 0
-        shared = 0
-        for grid in tuple(self._grids.values()):
-            for arr in grid:
-                if isinstance(arr, np.memmap):
-                    shared += arr.nbytes
-                else:
-                    private += arr.nbytes
-        self.stats.grid_private_bytes = private
-        self.stats.grid_mmap_bytes = shared
-        self.stats.grid_bytes = private + shared
-        return private + shared
+        return self.stats.grid_bytes
 
     # ------------------------------------------------------------------
     # Segment tier (checksummed, mmap'd, quarantining, fault-aware)

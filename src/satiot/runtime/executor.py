@@ -174,7 +174,7 @@ class ShardExecutor:
         self.max_retries = max(0, int(max_retries))
         self.backoff_s = max(0.0, float(backoff_s))
         self.backoff_cap_s = max(0.0, float(backoff_cap_s))
-        #: Set by :meth:`map` — "serial" or "process".
+        #: Set by :meth:`imap` — "serial" or "process".
         self.mode = "serial"
         #: Failed task executions that were retried.
         self.retries = 0
@@ -191,52 +191,42 @@ class ShardExecutor:
         ``fn`` must be a module-level (picklable) callable when more
         than one worker is configured.
         """
-        shards = list(shards)
-        if self.workers <= 1 or len(shards) <= 1:
-            self.mode = "serial"
-            return self._map_serial(fn, shards)
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            outcomes = self._map_parallel(fn, shards)
-        except ShardError:
-            raise
-        except (ImportError, OSError, PermissionError,
-                BrokenProcessPool) as exc:
-            # Pool could not be brought up (no /dev/shm, forbidden fork,
-            # …): degrade gracefully to the serial path.
-            self._pool_error = exc
-            self.mode = "serial"
-            return self._map_serial(fn, shards)
-        self.mode = "process"
-        return outcomes
+        return list(self.imap(fn, shards))
 
     def imap(self, fn: Callable[[Shard], Any],
              shards: Sequence[Shard]):
-        """Like :meth:`map`, but yields outcomes as an ordered stream.
+        """Execute ``fn`` over every shard, yielding outcomes in shard
+        order.
 
-        Shard order is preserved; the difference from :meth:`map` is
-        that the caller consumes each outcome (and can drop it) before
-        the next one is awaited — the spill plane folds every week's
-        traces to disk without ever holding more than the in-flight
-        results.  Retry / fallback / pool-degradation semantics are
-        identical to :meth:`map`.
+        The executor's one driver (:meth:`map` collects it).  The
+        caller consumes each outcome (and can drop it) before the next
+        one is awaited — the spill plane folds every week's traces to
+        disk without ever holding more than the in-flight results.
+        One worker, one shard or a pool that cannot start runs the
+        shards in-process, through the same retry budget and fault
+        sites as pool tasks.  The pool is shut down, and its workers
+        waited for, once the last outcome has been yielded (or the
+        caller stops early).
         """
         shards = list(shards)
-        if self.workers <= 1 or len(shards) <= 1:
-            self.mode = "serial"
-            for shard in shards:
-                yield self._run_with_retries(fn, shard)
-            return
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(shards)))
-            futures = [pool.submit(_timed_call, fn, shard)
-                       for shard in shards]
-        except (ImportError, OSError, PermissionError,
-                BrokenProcessPool) as exc:
-            self._pool_error = exc
+        pool = None
+        if self.workers > 1 and len(shards) > 1:
+            from concurrent.futures.process import BrokenProcessPool
+            try:
+                from concurrent.futures import ProcessPoolExecutor
+                pool = ProcessPoolExecutor(
+                    max_workers=min(self.workers, len(shards)))
+                futures = [pool.submit(_timed_call, fn, shard)
+                           for shard in shards]
+            except (ImportError, OSError, PermissionError,
+                    BrokenProcessPool) as exc:
+                # Pool could not be brought up (no /dev/shm, forbidden
+                # fork, …): degrade gracefully to the serial path.
+                self._pool_error = exc
+                if pool is not None:
+                    pool.shutdown(wait=True, cancel_futures=True)
+                pool = None
+        if pool is None:
             self.mode = "serial"
             for shard in shards:
                 yield self._run_with_retries(fn, shard)
@@ -246,7 +236,7 @@ class ShardExecutor:
             for shard, future in zip(shards, futures):
                 yield self._collect(pool, fn, shard, future)
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     def _backoff(self, attempt: int) -> None:
@@ -271,10 +261,6 @@ class ShardExecutor:
                 continue
             return ShardOutcome(shard=shard, result=result,
                                 wall_s=wall_s, worker=worker)
-
-    def _map_serial(self, fn: Callable[[Shard], Any],
-                    shards: Sequence[Shard]) -> List[ShardOutcome]:
-        return [self._run_with_retries(fn, shard) for shard in shards]
 
     # ------------------------------------------------------------------
     def _fallback_serial(self, fn: Callable[[Shard], Any],
@@ -309,16 +295,3 @@ class ShardExecutor:
                 continue
             return ShardOutcome(shard=shard, result=result,
                                 wall_s=wall_s, worker=worker)
-
-    def _map_parallel(self, fn: Callable[[Shard], Any],
-                      shards: Sequence[Shard]) -> List[ShardOutcome]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        max_workers = min(self.workers, len(shards))
-        outcomes: List[Optional[ShardOutcome]] = [None] * len(shards)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_timed_call, fn, shard)
-                       for shard in shards]
-            for i, (shard, future) in enumerate(zip(shards, futures)):
-                outcomes[i] = self._collect(pool, fn, shard, future)
-        return [o for o in outcomes if o is not None]

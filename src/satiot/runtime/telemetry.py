@@ -1,10 +1,12 @@
 """Per-shard execution telemetry.
 
-Every executed shard reports wall time, work counters (passes, beacons
-simulated, traces collected) and ephemeris-cache hit/miss deltas.  The
-campaign aggregates them into a :class:`CampaignTelemetry` that is
-surfaced on :class:`~satiot.core.campaign.PassiveCampaignResult` and
-rendered by ``python -m satiot report --timing``.
+Every executed shard reports wall time and worker (measured by the
+shard executor around each task) and work counters (passes, beacons
+simulated, traces collected, ephemeris-cache hit/miss deltas) from its
+result.  :meth:`CampaignTelemetry.from_outcomes` joins the two for
+campaigns and scenario runs; the result is surfaced on
+:class:`~satiot.core.campaign.PassiveCampaignResult` and rendered by
+``--timing``.
 
 This module is intentionally dependency-free (no imports from
 ``satiot.core``) so the runtime package never participates in an import
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 __all__ = ["ShardTelemetry", "CampaignTelemetry", "render_fixed_table"]
 
@@ -80,11 +82,6 @@ class ShardTelemetry:
             return 0.0
         return self.beacons / self.wall_s
 
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
 
 @dataclass
 class CampaignTelemetry:
@@ -106,6 +103,24 @@ class CampaignTelemetry:
     spilled_bytes: int = 0
 
     # ------------------------------------------------------------------
+    @classmethod
+    def from_outcomes(cls, executor, outcomes: Sequence,
+                      wall_s: float,
+                      counters: Sequence[Mapping[str, int]],
+                      ) -> "CampaignTelemetry":
+        """Telemetry of one :class:`~satiot.runtime.ShardExecutor` run:
+        each shard's label, wall time and worker from its outcome, its
+        work counters (:class:`ShardTelemetry` fields) from the
+        ``counters`` mapping reported for that outcome."""
+        shards = [ShardTelemetry(label=outcome.shard.label,
+                                 wall_s=outcome.wall_s,
+                                 worker=outcome.worker, **shard_counters)
+                  for outcome, shard_counters in zip(outcomes, counters)]
+        return cls(workers=executor.workers, mode=executor.mode,
+                   wall_s=wall_s, shards=shards,
+                   retries=executor.retries,
+                   fallbacks=executor.fallbacks)
+
     @property
     def shard_wall_s(self) -> float:
         """Summed per-shard compute time (> ``wall_s`` when parallel)."""

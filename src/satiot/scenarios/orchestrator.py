@@ -28,11 +28,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import __version__
-from ..core.campaign import (DEFAULT_CACHE, PassiveCampaign,
-                             _cache_spec_for_worker, _resolve_cache)
+from ..core.campaign import DEFAULT_CACHE, PassiveCampaign, _resolve_cache
 from ..runtime.executor import Shard, ShardExecutor
-from ..runtime.telemetry import (CampaignTelemetry, ShardTelemetry,
-                                 render_fixed_table)
+from ..runtime.telemetry import CampaignTelemetry, render_fixed_table
 from .compiler import (CompiledCell, build_cell_constellations,
                        compile_cells)
 from .kpi import KpiDiff, KpiRow, KpiStore, diff_stores
@@ -450,27 +448,15 @@ _CELL_RUNNERS = {
 }
 
 
-def _execute_cell(cell: CompiledCell, cache, spill=None,
-                  ) -> Tuple[List[KpiRow], Dict[str, str],
-                             ShardTelemetry]:
-    t0 = time.perf_counter()
+def _cell_shard_worker(shard: Shard,
+                       ) -> Tuple[List[KpiRow], Dict[str, str]]:
+    """Shard entry point: run one cell from its payload."""
+    cell, cache, spill = shard.payload
     if cell.kind == "passive":
-        rows, fingerprints = _run_passive_cell(cell, cache)
-    elif cell.kind == "longitudinal":
-        rows, fingerprints = _run_longitudinal_cell(cell, spill)
-    else:
-        rows, fingerprints = _CELL_RUNNERS[cell.kind](cell)
-    telemetry = ShardTelemetry(
-        label=f"cell:{cell.cell_id}",
-        wall_s=time.perf_counter() - t0, traces=len(rows),
-        worker=f"pid:{os.getpid()}")
-    return rows, fingerprints, telemetry
-
-
-def _cell_shard_worker(shard: Shard):
-    """Process-pool entry point: run one cell from its payload."""
-    cell, cache_spec, spill = shard.payload
-    return _execute_cell(cell, _resolve_cache(cache_spec), spill)
+        return _run_passive_cell(cell, cache)
+    if cell.kind == "longitudinal":
+        return _run_longitudinal_cell(cell, spill)
+    return _CELL_RUNNERS[cell.kind](cell)
 
 
 # ----------------------------------------------------------------------
@@ -548,30 +534,21 @@ def run_scenario(spec: Union[ScenarioSpec, Dict[str, Any]],
 
     spill = (str(spill_dir), int(rows_per_shard), bool(resume)) \
         if spill_dir is not None else None
-    if executor.workers > 1 and len(cells) > 1:
-        cache_spec = _cache_spec_for_worker(ephemeris_cache)
-        shards = [Shard(index=cell.index, kind="cell",
-                        key=cell.cell_id,
-                        payload=(cell, cache_spec, spill))
-                  for cell in cells]
-        outcomes = executor.map(_cell_shard_worker, shards)
-        results = [outcome.result for outcome in outcomes]
-    else:
-        cache = _resolve_cache(ephemeris_cache)
-        results = [_execute_cell(cell, cache, spill)
-                   for cell in cells]
+    cache = _resolve_cache(ephemeris_cache)
+    shards = [Shard(index=cell.index, kind="cell", key=cell.cell_id,
+                    payload=(cell, cache, spill))
+              for cell in cells]
+    outcomes = executor.map(_cell_shard_worker, shards)
 
     store = KpiStore()
     fingerprints: Dict[str, str] = {}
-    shard_telemetry: List[ShardTelemetry] = []
-    for rows, cell_fingerprints, telemetry in results:
+    for outcome in outcomes:
+        rows, cell_fingerprints = outcome.result
         store.extend(rows)
         fingerprints.update(cell_fingerprints)
-        shard_telemetry.append(telemetry)
-    campaign_telemetry = CampaignTelemetry(
-        workers=executor.workers, mode=executor.mode,
-        wall_s=time.perf_counter() - t0, shards=shard_telemetry,
-        retries=executor.retries, fallbacks=executor.fallbacks)
+    campaign_telemetry = CampaignTelemetry.from_outcomes(
+        executor, outcomes, time.perf_counter() - t0,
+        [{"traces": len(outcome.result[0])} for outcome in outcomes])
 
     manifest = _build_manifest(spec, cells, store, fingerprints)
     if spill is not None:

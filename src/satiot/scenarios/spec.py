@@ -22,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 __all__ = ["SCENARIO_FORMAT", "SCENARIO_KINDS", "ScenarioError",
            "ScenarioSpec", "parse_scenario", "load_scenario",
@@ -172,10 +172,6 @@ class ScenarioSpec:
     def section(self, name: str) -> Dict[str, Any]:
         """The normalized section dict (defaults applied)."""
         return dict(self.document.get(name) or {})
-
-    @property
-    def is_matrix(self) -> bool:
-        return bool(self.sweep)
 
 
 # ----------------------------------------------------------------------

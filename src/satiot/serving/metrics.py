@@ -1,9 +1,9 @@
 """Per-endpoint serving metrics: counters, histograms, latency quantiles.
 
 Each endpoint owns an :class:`EndpointMetrics`; the server aggregates
-them into a :class:`ServingMetrics` that renders both as JSON (for the
-``/metrics`` endpoint and the benchmark harness) and as the fixed-width
-table format shared with the runtime telemetry report
+them into a :class:`ServingMetrics` that exports a mergeable
+:meth:`~ServingMetrics.snapshot` and renders the fixed-width table
+format shared with the runtime telemetry report
 (:func:`satiot.runtime.telemetry.render_fixed_table`).
 
 Latency quantiles come from a bounded reservoir (most recent
@@ -11,12 +11,11 @@ Latency quantiles come from a bounded reservoir (most recent
 unbounded memory.  Batch sizes are tracked as an exact histogram over
 power-of-two buckets, the batching engine's primary health signal.
 
-Multi-worker fleets aggregate across processes: each worker exports a
-:meth:`ServingMetrics.snapshot` (counters + raw histogram buckets +
-the latency reservoir) over its control channel, and the supervisor
-folds them with :func:`merge_snapshots` — counters summed, batch-size
-histograms merged bucket-wise, and fleet latency quantiles computed
-over the *pooled* reservoirs (quantiles of quantiles would lie).
+JSON always comes from snapshots: :func:`merge_snapshots` renders one
+server's ``/metrics`` from its own snapshot and a fleet's from every
+worker's (sent over the control channel) — counters summed, batch-size
+histograms merged bucket-wise, and latency quantiles computed over the
+*pooled* reservoirs (quantiles of quantiles would lie).
 """
 
 from __future__ import annotations
@@ -102,50 +101,6 @@ class EndpointMetrics:
             self.cache_misses += 1
 
     # ------------------------------------------------------------------
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.batched_requests / self.batches if self.batches \
-            else 0.0
-
-    def latency_quantiles_ms(self) -> Dict[str, float]:
-        ordered = sorted(self._latencies_ms)
-        return {
-            "p50": percentile(ordered, 50.0),
-            "p90": percentile(ordered, 90.0),
-            "p99": percentile(ordered, 99.0),
-            "max": ordered[-1] if ordered else 0.0,
-        }
-
-    def to_dict(self) -> dict:
-        histogram = {
-            (f"<={bucket}" if bucket > 0 else f">{BATCH_BUCKETS[-1]}"):
-            count
-            for bucket, count in sorted(
-                self.batch_histogram.items(),
-                key=lambda kv: (kv[0] < 0, kv[0]))
-        }
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "client_errors": self.client_errors,
-            "server_errors": self.server_errors,
-            "rejected_429": self.rejected,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "batches": self.batches,
-            "handler_retries": self.handler_retries,
-            "mean_batch_size": round(self.mean_batch_size, 2),
-            "batch_size_histogram": histogram,
-            "latency_ms": {k: round(v, 3) for k, v
-                           in self.latency_quantiles_ms().items()},
-        }
-
     #: Counter fields that merge across workers by summation.
     COUNTERS = ("requests", "ok", "client_errors", "server_errors",
                 "rejected", "cache_hits", "cache_misses", "batches",
@@ -179,15 +134,6 @@ class ServingMetrics:
             self.endpoints[name] = EndpointMetrics(name)
         return self.endpoints[name]
 
-    def to_dict(self) -> dict:
-        payload = {name: em.to_dict()
-                   for name, em in sorted(self.endpoints.items())}
-        payload["_server"] = {
-            "dropped_connections": self.dropped_connections,
-            "write_timeouts": self.write_timeouts,
-        }
-        return payload
-
     def snapshot(self) -> dict:
         """Mergeable cross-process view of every endpoint."""
         return {
@@ -200,27 +146,31 @@ class ServingMetrics:
         }
 
     def render(self, title: Optional[str] = None) -> str:
-        """Fixed-width table view (same format as runtime telemetry)."""
+        """Fixed-width table view (same format as runtime telemetry) of
+        the figures the JSON view shows: :func:`merge_snapshots` of
+        this server's own snapshot."""
         header = ["endpoint", "req", "ok", "4xx", "429", "5xx",
                   "batches", "avg batch", "cache hit%",
                   "p50 ms", "p99 ms"]
         rows: List[List[str]] = []
-        for name, em in sorted(self.endpoints.items()):
-            q = em.latency_quantiles_ms()
+        merged = merge_snapshots([self.snapshot()])
+        for name in sorted(self.endpoints):
+            em = merged[name]
             rows.append([
-                name, str(em.requests), str(em.ok),
-                str(em.client_errors), str(em.rejected),
-                str(em.server_errors), str(em.batches),
-                f"{em.mean_batch_size:.1f}",
-                f"{100.0 * em.cache_hit_rate:.0f}",
-                f"{q['p50']:.2f}", f"{q['p99']:.2f}"])
+                name, str(em["requests"]), str(em["ok"]),
+                str(em["client_errors"]), str(em["rejected_429"]),
+                str(em["server_errors"]), str(em["batches"]),
+                f"{em['mean_batch_size']:.1f}",
+                f"{100.0 * em['cache_hit_rate']:.0f}",
+                f"{em['latency_ms']['p50']:.2f}",
+                f"{em['latency_ms']['p99']:.2f}"])
         return render_fixed_table(header, rows,
                                   title=title or "Serving metrics")
 
 
 def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Fold worker :meth:`ServingMetrics.snapshot` dicts into one
-    fleet view (the supervisor's merged ``/metrics`` payload).
+    """Fold :meth:`ServingMetrics.snapshot` dicts into one ``/metrics``
+    view: one server's own, or every fleet worker's.
 
     Counters and batch-size histograms are summed bucket-wise; latency
     quantiles are recomputed over the pooled per-worker reservoirs so

@@ -27,12 +27,13 @@ a retrying client gets the byte-identical payload from the cache.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import signal
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .batcher import MicroBatcher, QueueFullError
@@ -42,7 +43,7 @@ from .http import (HTTPError, HTTPRequest, encode_json, json_response,
                    read_request, text_response)
 from ..runtime.telemetry import render_fixed_table
 from ..twin.clock import SimClock
-from .metrics import ServingMetrics
+from .metrics import ServingMetrics, merge_snapshots
 from .service import (CompareRequest, ConstellationService,
                       LinkBudgetRequest, PassesRequest, PresenceRequest,
                       DEFAULT_CONSTELLATION)
@@ -89,7 +90,6 @@ class ServingConfig:
     clock_quantum_s: float = 60.0
     #: providers /v1/compare may select (None = all registered)
     providers: Optional[Tuple[str, ...]] = None
-    extra: Dict[str, object] = field(default_factory=dict)
 
 
 _ENDPOINTS = {
@@ -329,49 +329,47 @@ class ServingServer:
             payload["worker"] = self.worker_id
         return json_response(200, payload)
 
-    def _metrics_response(self, request: HTTPRequest) -> bytes:
-        ephemeris = self.service.ephemeris
-        grid_bytes = ephemeris.grid_resident_bytes()
-        wants_text = request.query.get("format") == "text" or \
-            "text/plain" in request.headers.get("accept", "")
-        if wants_text:
-            stats = ephemeris.stats
-            ephemeris_table = render_fixed_table(
-                ["grid MiB", "grid h/m", "pass h/m", "disk h/w"],
-                [[f"{grid_bytes / 2**20:.2f}",
-                  f"{stats.grid_hits}/{stats.grid_misses}",
-                  f"{stats.pass_hits}/{stats.pass_misses}",
-                  f"{stats.disk_hits}/{stats.disk_writes}"]],
-                title="Ephemeris cache")
-            return text_response(
-                200, self.metrics.render() + "\n" + ephemeris_table
-                + "\n")
-        payload = self.metrics.to_dict()
-        payload["_cache"] = {
+    def snapshot(self) -> dict:
+        """This process's serving record, mergeable across a fleet.
+
+        :meth:`ServingMetrics.snapshot` plus ``cache`` (the result
+        cache), ``ephemeris`` (the whole ephemeris
+        :class:`~satiot.runtime.CacheStats`) and, while a fault plane
+        is armed, ``faults`` (its summary).  ``/metrics`` renders it;
+        a fleet worker sends it to its supervisor.
+        """
+        snap = self.metrics.snapshot()
+        snap["cache"] = {
             "entries": len(self.cache),
             "hits": self.cache.hits,
             "misses": self.cache.misses,
             "hit_rate": round(self.cache.hit_rate, 4),
             "ttl_s": self.cache.ttl_s,
         }
-        payload["_ephemeris"] = {
-            "grid_bytes": grid_bytes,
-            # Split by residency: private bytes are paid per worker,
-            # mmap bytes are one machine-wide copy shared by every
-            # worker that maps the same segment.
-            "grid_private_bytes": ephemeris.stats.grid_private_bytes,
-            "grid_mmap_bytes": ephemeris.stats.grid_mmap_bytes,
-            "grid_hits": ephemeris.stats.grid_hits,
-            "grid_misses": ephemeris.stats.grid_misses,
-            "grid_extensions": ephemeris.stats.grid_extensions,
-            "pass_hits": ephemeris.stats.pass_hits,
-            "pass_misses": ephemeris.stats.pass_misses,
-        }
-        if self.worker_id is not None:
-            payload["_server"]["worker_id"] = self.worker_id
+        snap["ephemeris"] = dataclasses.asdict(self.service.ephemeris.stats)
         plane = get_default_plane()
         if plane is not None and plane.rules:
-            payload["_faults"] = plane.summary()
+            snap["faults"] = plane.summary()
+        return snap
+
+    def _metrics_response(self, request: HTTPRequest) -> bytes:
+        snap = self.snapshot()
+        wants_text = request.query.get("format") == "text" or \
+            "text/plain" in request.headers.get("accept", "")
+        if wants_text:
+            ephemeris_table = render_fixed_table(
+                ["counter", "value"], list(snap["ephemeris"].items()),
+                title="Ephemeris cache")
+            return text_response(
+                200, self.metrics.render() + "\n" + ephemeris_table
+                + "\n")
+        payload = merge_snapshots([snap])
+        payload["_cache"] = snap["cache"]
+        payload["_ephemeris"] = snap["ephemeris"]
+        if self.worker_id is not None:
+            payload["_server"]["worker_id"] = self.worker_id
+        if "faults" in snap:
+            payload["_faults"] = snap["faults"]
         return json_response(200, payload)
 
     # ------------------------------------------------------------------

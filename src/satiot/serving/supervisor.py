@@ -47,12 +47,13 @@ Topology
   under any worker count.
 
 * **Observability.**  Each worker answers ``metrics`` requests over
-  its control socketpair with a :meth:`ServingMetrics.snapshot`;
+  its control socketpair with its :meth:`ServingServer.snapshot`, the
+  record its own ``/metrics`` renders;
   :meth:`ServingFleet.fleet_metrics` folds them with
   :func:`~satiot.serving.metrics.merge_snapshots` into one fleet view:
   merged per-endpoint counters/histograms/pooled-quantiles plus a
-  ``_workers`` section (per-worker RSS, grid residency split,
-  restarts).
+  ``_workers`` section (per-worker RSS, restarts, result cache,
+  ephemeris counters and residency split, armed faults).
 
 Requires ``fork`` (POSIX).  On platforms without it the fleet refuses
 to start and ``satiot serve`` stays single-process.
@@ -70,8 +71,8 @@ import socket
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .metrics import merge_snapshots
 from .server import ServingConfig, ServingServer
@@ -269,26 +270,13 @@ async def _worker_async(worker_id: int, config: ServingConfig,
 
     def snapshot() -> dict:
         import resource
-        ephemeris = server.service.ephemeris
-        grid_bytes = ephemeris.grid_resident_bytes()
         return {
             "worker": worker_id,
             "pid": os.getpid(),
             "uptime_s": round(time.monotonic() - started, 3),
             "rss_max_kib": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss,
-            "metrics": server.metrics.snapshot(),
-            "ephemeris": {
-                "grid_bytes": grid_bytes,
-                "grid_private_bytes":
-                    ephemeris.stats.grid_private_bytes,
-                "grid_mmap_bytes": ephemeris.stats.grid_mmap_bytes,
-                "grid_hits": ephemeris.stats.grid_hits,
-                "grid_misses": ephemeris.stats.grid_misses,
-                "grid_extensions": ephemeris.stats.grid_extensions,
-                "disk_hits": ephemeris.stats.disk_hits,
-                "disk_writes": ephemeris.stats.disk_writes,
-            },
+            "metrics": server.snapshot(),
         }
 
     async def reply(payload: dict) -> None:
@@ -646,13 +634,15 @@ class ServingFleet:
         """One merged metrics payload for the whole fleet.
 
         Per-endpoint counters, batch-size histograms and pooled
-        latency quantiles are merged across workers
-        (:func:`~satiot.serving.metrics.merge_snapshots`); the
-        ``_workers`` section keeps each worker's RSS, restart count and
-        ephemeris residency split, and ``_fleet`` summarizes the
-        grid-sharing story: ``grid_mmap_bytes_max`` is the one shared
-        resident copy, where per-worker *private* grids would instead
-        multiply by N.
+        latency quantiles are merged across workers' snapshots
+        (:meth:`ServingServer.snapshot`, folded by
+        :func:`~satiot.serving.metrics.merge_snapshots`); the
+        ``_workers`` section keeps each worker's RSS, restart count
+        and its snapshot's ``cache``, ``ephemeris`` (the whole
+        ``CacheStats``) and ``faults`` sections, and ``_fleet``
+        summarizes the grid-sharing story: ``grid_mmap_bytes_max`` is
+        the one shared resident copy, where per-worker *private* grids
+        would instead multiply by N.
         """
         snapshots: List[dict] = []
         workers: Dict[str, dict] = {}
@@ -668,19 +658,23 @@ class ServingFleet:
                 }
                 continue
             slot.last_metrics = reply
-            snapshots.append(reply.get("metrics", {}))
-            ephemeris = reply.get("ephemeris", {})
+            snap = reply.get("metrics", {})
+            snapshots.append(snap)
+            ephemeris = snap.get("ephemeris", {})
             mmap_bytes.append(int(ephemeris.get("grid_mmap_bytes", 0)))
             private_bytes.append(
                 int(ephemeris.get("grid_private_bytes", 0)))
-            workers[str(index)] = {
+            worker = workers[str(index)] = {
                 "alive": True,
                 "pid": reply.get("pid"),
                 "uptime_s": reply.get("uptime_s"),
                 "rss_max_kib": reply.get("rss_max_kib"),
                 "restarts": slot.restarts,
+                "cache": snap.get("cache", {}),
                 "ephemeris": ephemeris,
             }
+            if "faults" in snap:
+                worker["faults"] = snap["faults"]
         payload = merge_snapshots(snapshots)
         payload["_workers"] = workers
         payload["_fleet"] = {

@@ -151,6 +151,35 @@ class TestConstellationFromCatalog:
         const = constellation_from_catalog(selection, name="s2only")
         assert len(const) == 4
 
+    def test_table3_constellation_round_trips_through_a_file(
+            self, tmp_path):
+        """``write_catalog`` plus ``constellation_from_catalog`` archive
+        and rebuild a Table-3 constellation with its own radio."""
+        import numpy as np
+
+        from satiot.constellations.catalog import build_constellation
+        from satiot.orbits.tle import format_tle
+
+        original = build_constellation("pico")
+        path = tmp_path / "pico.3le"
+        assert write_catalog([s.tle for s in original], path) \
+            == len(original)
+        back = constellation_from_catalog(path, name="pico",
+                                          radio=original.radio)
+        assert [s.norad_id for s in back] == \
+            [s.norad_id for s in original]
+        assert [s.name for s in back] == [s.name for s in original]
+        assert [format_tle(s.tle) for s in back] == \
+            [format_tle(s.tle) for s in original]
+        assert all(s.radio is original.radio for s in back.satellites)
+        r, _ = back.satellites[0].propagator.propagate(3600.0)
+        assert 6700.0 < np.linalg.norm(r) < 7200.0
+
+        empty = tmp_path / "empty.3le"
+        empty.write_text("\n")
+        with pytest.raises(TleNotFound):
+            constellation_from_catalog(empty, radio=original.radio)
+
     def test_presence_integration(self, db):
         """A catalog constellation plugs into the availability stack."""
         from satiot.core.availability import daily_presence_hours

@@ -11,7 +11,6 @@ every fault site on the campaign path (disk cache, shard task, worker
 kill) gets consulted many times.
 """
 
-import numpy as np
 import pytest
 
 from satiot.core.campaign import PassiveCampaign, PassiveCampaignConfig
@@ -160,3 +159,7 @@ class TestScheduleIndependence:
         with armed("seed=107;executor.task=n1"):
             serial = PassiveCampaign(CFG, workers=1).run()
         assert_identical(serial.dataset, reference)
+        # Serial shards consult the same task site and retry budget as
+        # pool tasks: the one injected failure was retried.
+        assert serial.telemetry.mode == "serial"
+        assert serial.telemetry.retries == 1

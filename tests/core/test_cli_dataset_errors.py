@@ -62,36 +62,67 @@ class TestDatasetExportErrors:
 
 
 class TestPassiveWriteErrors:
-    """``passive`` maps --out/--spill write failures to exit 2 too."""
+    """``passive`` and ``dataset export`` refuse an output path they
+    cannot write with exit 2 — before the campaign runs."""
 
-    def _run(self, capsys, *flags):
-        code = main(["passive", "--sites", "HK", "--days", "0.05", *flags])
-        err = capsys.readouterr().err
+    def _run(self, capsys, monkeypatch, *argv):
+        from satiot.core.campaign import PassiveCampaign
+
+        def never(self):
+            raise AssertionError("the campaign ran before the path check")
+
+        monkeypatch.setattr(PassiveCampaign, "run", never)
+        code = main([*argv, "--sites", "HK", "--days", "0.05"])
+        out, err = capsys.readouterr()
         assert "Traceback" not in err
+        assert out == ""
         return code, err
 
-    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys,
+                                                monkeypatch):
         target = tmp_path / "missing" / "traces.csv"
-        code, err = self._run(capsys, "--out", str(target))
+        code, err = self._run(capsys, monkeypatch, "passive",
+                              "--out", str(target))
         assert code == 2
         assert "error: cannot write" in err
         assert str(target) in err
 
-    def test_spill_onto_regular_file_exits_2(self, tmp_path, capsys):
+    def test_spill_onto_regular_file_exits_2(self, tmp_path, capsys,
+                                             monkeypatch):
         target = tmp_path / "not-a-dir"
         target.write_text("a file where a directory must go")
-        code, err = self._run(capsys, "--spill", str(target))
+        code, err = self._run(capsys, monkeypatch, "passive",
+                              "--spill", str(target))
         assert code == 2
         assert "error: cannot write" in err
         assert str(target) in err
 
-    def test_npz_out_exits_2_pointing_at_spill(self, tmp_path, capsys):
+    def test_npz_out_exits_2_pointing_at_spill(self, tmp_path, capsys,
+                                               monkeypatch):
         target = tmp_path / "traces.npz"
-        code, err = self._run(capsys, "--out", str(target))
+        code, err = self._run(capsys, monkeypatch, "passive",
+                              "--out", str(target))
         assert code == 2
         assert str(target) in err
         assert "--spill" in err
         assert not target.exists()
+
+    @pytest.mark.parametrize("flag", ["root", "root-below", "--spill"])
+    def test_export_onto_regular_file_exits_2(self, tmp_path, capsys,
+                                              monkeypatch, flag):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where a directory must go")
+        if flag == "root":
+            argv = ["dataset", "export", str(blocker)]
+        elif flag == "root-below":
+            argv = ["dataset", "export", str(blocker / "arch")]
+        else:
+            argv = ["dataset", "export", str(tmp_path / "arch"),
+                    "--spill", str(blocker)]
+        code, err = self._run(capsys, monkeypatch, *argv)
+        assert code == 2
+        assert "error: cannot write dataset archive" in err
+        assert str(blocker) in err
 
 
 def _spill_archive(root):

@@ -54,6 +54,44 @@ class TestExportLoad:
         assert DatasetManifest.from_json(manifest.to_json()) == manifest
 
 
+class TestReExport:
+    def test_reexport_replaces_the_earlier_archive(self, tmp_path):
+        """Exporting HK as JSONL over an HK+SYD CSV archive leaves the
+        files of a fresh HK JSONL export, plus any file the old
+        manifest did not name."""
+        from satiot.core.campaign import (PassiveCampaign,
+                                          PassiveCampaignConfig)
+
+        def run(sites):
+            return PassiveCampaign(PassiveCampaignConfig(
+                sites=sites, days=0.05, seed=1)).run()
+
+        def tree(root):
+            return {path.relative_to(root).as_posix():
+                    hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in root.rglob("*") if path.is_file()}
+
+        hk = run(("HK",))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        export_dataset(run(("HK", "SYD")), reused)
+        (reused / "notes.txt").write_text("kept")
+        manifest = export_dataset(hk, reused, trace_format="jsonl")
+        export_dataset(hk, fresh, trace_format="jsonl")
+
+        assert tree(reused) == {**tree(fresh),
+                                "notes.txt": tree(reused)["notes.txt"]}
+        loaded, datasets = load_dataset(reused)
+        assert loaded == manifest
+        assert list(datasets["HK"]) == list(load_dataset(fresh)[1]["HK"])
+
+    @pytest.mark.parametrize("old", ["{not json", "[]", '{"sites": 5}'])
+    def test_unreadable_old_manifest_is_replaced(
+            self, passive_result_small, tmp_path, old):
+        (tmp_path / "manifest.json").write_text(old)
+        manifest = export_dataset(passive_result_small, tmp_path)
+        assert read_manifest(tmp_path) == manifest
+
+
 class TestReadManifest:
     def test_reads_only_the_manifest(self, passive_result_small,
                                      tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satiot.orbits.tle import (TLE, TLEError, checksum, format_tle,
-                               parse_tle, parse_tle_file)
+                               parse_tle)
 from satiot.orbits.tle import _format_exp_field, _parse_exp_field
 
 from tests.conftest import make_test_tle
@@ -162,29 +162,3 @@ class TestDerivedAccessors:
 
     def test_epoch_year(self):
         assert make_test_tle().epoch.calendar()[0] == 2024
-
-
-class TestFileParsing:
-    def test_three_line_format(self):
-        tle = make_test_tle()
-        line1, line2 = format_tle(tle)
-        text = ["MY SATELLITE", line1, line2]
-        parsed = parse_tle_file(text)
-        assert len(parsed) == 1
-        assert parsed[0].name == "MY SATELLITE"
-
-    def test_two_line_format_no_names(self):
-        line1, line2 = format_tle(make_test_tle())
-        parsed = parse_tle_file([line1, line2, line1, line2])
-        assert len(parsed) == 2
-        assert parsed[0].name == ""
-
-    def test_dangling_line_raises(self):
-        line1, _ = format_tle(make_test_tle())
-        with pytest.raises(TLEError, match="dangling"):
-            parse_tle_file([line1])
-
-    def test_blank_lines_ignored(self):
-        line1, line2 = format_tle(make_test_tle())
-        parsed = parse_tle_file(["", line1, line2, "  \n"])
-        assert len(parsed) == 1

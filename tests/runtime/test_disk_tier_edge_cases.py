@@ -189,21 +189,45 @@ class TestVanishingStore:
         assert cache.stats.disk_errors >= 1
 
 
+def _warm_then_forget(call):
+    """``warm`` for a plain entry point: run it once, then drop the
+    memory tier, so the next call reads the segment back."""
+    def warm(cache, sat):
+        call(cache, sat)
+        cache.clear_memory()
+    return warm
+
+
+def _evict_prefix(cache, sat):
+    """``warm`` for the prefix extension: serve PREFIX, then push its
+    stack out of a ``max_grids=2`` LRU with two grids at another epoch.
+    The extent record survives, so growing PREFIX to OFFSETS reads the
+    prefix's segment from inside the extension path."""
+    later = sat.tle.epoch + 86400.0
+    cache.constellation_grid([sat], sat.tle.epoch, PREFIX)
+    cache.constellation_grid([sat], later, PREFIX)
+    cache.constellation_grid([sat], later, OFFSETS)
+
+
+def _entry(call):
+    return _warm_then_forget(call), call
+
+
 #: Cache entry points, each as ``(warm, call)``: ``warm`` writes the
-#: segment that ``call`` then reads.  The prefix extension reads the
-#: prefix's segment from inside its extension path.
+#: segment that ``call`` then reads, and leaves it out of memory.
 PREFIX = OFFSETS[:30]
 ENTRY_POINTS = {
-    "constellation_grid": lambda cache, sat: cache.constellation_grid(
-        [sat], sat.tle.epoch, OFFSETS),
-    "propagation_grid": lambda cache, sat: cache.propagation_grid(
-        sat, sat.tle.epoch, OFFSETS),
-    "find_passes": lambda cache, sat: cache.find_passes(
-        sat, HK, sat.tle.epoch, 3600.0),
-    "find_passes_fleet": lambda cache, sat: cache.find_passes_fleet(
-        [sat], [HK], sat.tle.epoch, 3600.0),
-    "prefix_extension": lambda cache, sat: cache.extend_constellation_grid(
-        [sat], sat.tle.epoch, OFFSETS, prefix_offsets_s=PREFIX),
+    "constellation_grid": _entry(lambda cache, sat: cache.constellation_grid(
+        [sat], sat.tle.epoch, OFFSETS)),
+    "propagation_grid": _entry(lambda cache, sat: cache.propagation_grid(
+        sat, sat.tle.epoch, OFFSETS)),
+    "find_passes": _entry(lambda cache, sat: cache.find_passes(
+        sat, HK, sat.tle.epoch, 3600.0)),
+    "find_passes_fleet": _entry(lambda cache, sat: cache.find_passes_fleet(
+        [sat], [HK], sat.tle.epoch, 3600.0)),
+    "prefix_extension": (_evict_prefix, lambda cache, sat:
+                         cache.constellation_grid([sat], sat.tle.epoch,
+                                                  OFFSETS)),
 }
 
 
@@ -213,26 +237,25 @@ class TestWarningsNameTheCaller:
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_quarantine_warning(self, sat, tmp_path, entry):
-        writer = EphemerisCache(disk_dir=tmp_path)
-        if entry == "prefix_extension":
-            writer.constellation_grid([sat], sat.tle.epoch, PREFIX)
-        else:
-            ENTRY_POINTS[entry](writer, sat)
+        warm, call = ENTRY_POINTS[entry]
+        cache = EphemerisCache(max_grids=2, disk_dir=tmp_path)
+        warm(cache, sat)
         for path in tmp_path.glob("cgrid-*.r.npy"):
             path.write_bytes(b"rot")
-        cache = EphemerisCache(disk_dir=tmp_path)
         with pytest.warns(RuntimeWarning, match="quarantined") as record:
-            ENTRY_POINTS[entry](cache, sat)
+            call(cache, sat)
         assert cache.stats.disk_corrupt == 1
         assert record[0].filename == __file__
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_disk_degraded_warning(self, sat, tmp_path, entry):
+        warm, call = ENTRY_POINTS[entry]
         blocker = tmp_path / "blocker"
         blocker.write_bytes(b"file")
-        cache = EphemerisCache(disk_dir=blocker / "cache")
+        cache = EphemerisCache(max_grids=2, disk_dir=blocker / "cache")
         with pytest.warns(RuntimeWarning, match="compute-through") as record:
-            ENTRY_POINTS[entry](cache, sat)
+            warm(cache, sat)
+            call(cache, sat)
         assert record[0].filename == __file__
 
 

@@ -1,5 +1,6 @@
 """Tests for the two-tier ephemeris cache and its exactness contract."""
 
+import pickle
 import sys
 import threading
 import time
@@ -218,6 +219,10 @@ class TestConcurrentResidency:
         assert not filler.is_alive()
         assert not errors, f"grid_resident_bytes raised {errors[0]!r}"
         assert cache.stats.grid_misses > cache.max_grids
+        # The running tally still matches the stacks actually held.
+        held = sum(arr.nbytes for grid in cache._grids.values()
+                   for arr in grid)
+        assert cache.grid_resident_bytes() == held
 
 
 class TestCachedPasses:
@@ -339,6 +344,42 @@ class TestDefaultCache:
         assert cache is not None
         assert str(cache.disk_dir) == str(tmp_path / "tier")
         reset_default_cache()
+
+
+class TestPickling:
+    """Shard payloads carry the resolved cache: it crosses a process
+    boundary as its configuration, never its contents."""
+
+    def test_cache_pickles_as_empty_cache_with_same_config(self,
+                                                            tmp_path):
+        sat = SGP4(make_test_tle())
+        cache = EphemerisCache(max_grids=7, max_pass_lists=9,
+                               disk_dir=tmp_path)
+        cache.find_passes(sat, HK, sat.tle.epoch, 3600.0)
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone is not cache
+        assert (clone.max_grids, clone.max_pass_lists, clone.disk_dir) \
+            == (7, 9, tmp_path)
+        assert clone.grid_resident_bytes() == 0
+        assert clone.stats.snapshot() == (0,) * 8
+        assert len(pickle.dumps(cache)) < 512
+
+    def test_default_cache_pickles_as_receivers_default(self,
+                                                        monkeypatch):
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        reset_default_cache()
+        default = get_default_cache()
+        try:
+            payload = pickle.dumps(default)
+            assert pickle.loads(payload) is default
+            # A receiver whose default is another object (a fresh
+            # worker process) gets its own.
+            reset_default_cache()
+            received = pickle.loads(payload)
+            assert received is get_default_cache()
+            assert received is not default
+        finally:
+            reset_default_cache()
 
 
 class TestStats:

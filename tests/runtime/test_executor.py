@@ -1,5 +1,6 @@
 """Tests for the shard executor and the campaign determinism contract."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -86,6 +87,41 @@ class TestProcessExecutor:
         executor = ShardExecutor(workers=4)
         executor.map(_double, _make_shards([1]))
         assert executor.mode == "serial"
+
+    @pytest.mark.parametrize("drive", ["map", "imap"])
+    def test_no_worker_outlives_the_run(self, drive):
+        before = set(multiprocessing.active_children())
+        executor = ShardExecutor(workers=2)
+        outcomes = list(getattr(executor, drive)(
+            _double, _make_shards([1, 2, 3])))
+        assert [o.result for o in outcomes] == [2, 4, 6]
+        assert set(multiprocessing.active_children()) - before == set()
+
+
+class TestPoolUnavailable:
+    """With no process pool, shards run in the parent on the caller's
+    own objects, not on rebuilt copies."""
+
+    def test_campaign_fills_callers_cache(self, monkeypatch):
+        import concurrent.futures
+
+        from satiot.runtime.ephemeris_cache import EphemerisCache
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        cache = EphemerisCache()
+        config = PassiveCampaignConfig(sites=("HK", "SYD"),
+                                       constellations=("cstp",),
+                                       days=0.1, seed=7)
+        result = PassiveCampaign(config, workers=2,
+                                 ephemeris_cache=cache).run()
+        assert result.telemetry.mode == "serial"
+        assert result.telemetry.workers == 2
+        assert cache.stats.grid_misses > 0
+        assert cache.stats.pass_misses > 0
 
 
 class TestCampaignDeterminism:

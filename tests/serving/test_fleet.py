@@ -256,6 +256,11 @@ class TestFleetMetrics:
             assert worker["pid"] > 0
             assert worker["rss_max_kib"] > 0
             assert worker["ephemeris"]["grid_bytes"] >= 0
+            # Each worker's own /metrics record: the result cache and
+            # the whole ephemeris CacheStats.
+            assert worker["cache"]["entries"] >= 0
+            assert worker["ephemeris"]["pass_hits"] >= 0
+            assert "disk_corrupt" in worker["ephemeris"]
 
         info = merged["_fleet"]
         assert info["workers"] == 2

@@ -151,7 +151,12 @@ class TestEndpoints:
         assert status == 200
         assert payload["passes"]["requests"] == 1
         assert "_cache" in payload
+        # The whole CacheStats, quarantine and disk-error counts too.
+        assert payload["_ephemeris"]["disk_corrupt"] == 0
+        assert payload["_ephemeris"]["disk_errors"] == 0
+        assert payload["_ephemeris"]["pass_misses"] > 0
         assert b"endpoint" in raw and b"p99 ms" in raw
+        assert b"disk_errors" in raw
 
     def test_result_cache_serves_repeat_queries(self):
         async def scenario(server):

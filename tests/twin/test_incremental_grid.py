@@ -5,9 +5,9 @@ advances; :meth:`EphemerisCache.constellation_grid` serves each growth
 step by propagating only the new suffix instants and concatenating
 onto the recorded prefix stack.  The contract pinned here: **however a
 grid is assembled — cold, one extension, K extensions, a prefix pulled
-back from the mmap'd segment tier, or a fresh cache re-attached over
-an existing disk directory — the bytes are identical to one cold
-full-range propagation.**  SGP4 is memoryless in ``tsince``, which is
+back from the mmap'd segment tier after LRU pressure evicted it, or a
+grid another cache extended over the same disk directory — the bytes
+are identical to one cold full-range propagation.**  SGP4 is memoryless in ``tsince``, which is
 what makes the concatenation exact rather than approximate.
 """
 
@@ -116,35 +116,18 @@ class TestIncrementalExtension:
 # ----------------------------------------------------------------------
 class TestSegmentTierExtension:
     def test_prefix_recovered_from_mmap_segment(self, tmp_path):
-        """With the memory tier dropped, the prefix stack comes back
+        """LRU pressure — the same fleet at another epoch, in a cache
+        that holds one fleet — evicts the prefix stack; it comes back
         through the mmap'd segment and extension still applies."""
         props = make_fleet()
         epoch = props[0].tle.epoch
         full = np.arange(200, dtype=float) * 30.0
-        cache = EphemerisCache(disk_dir=tmp_path)
+        cache = EphemerisCache(max_grids=len(props), disk_dir=tmp_path)
         cache.constellation_grid(props, epoch, full[:80])
-        cache.clear_memory()
-        got = cache.extend_constellation_grid(
-            props, epoch, full, prefix_offsets_s=full[:80])
+        cache.constellation_grid(props, epoch + 86400.0, full[:80])
+        got = cache.constellation_grid(props, epoch, full)
         assert cache.stats.grid_extensions == 1
-        assert grids_equal(got, cold_grid(props, epoch, full))
-
-    def test_fresh_cache_reattaches_over_existing_disk_dir(self,
-                                                          tmp_path):
-        """The restarted-worker path: a brand-new cache over the same
-        ``disk_dir`` names the prefix it expects and extends from the
-        segment its predecessor wrote."""
-        props = make_fleet()
-        epoch = props[0].tle.epoch
-        full = np.arange(150, dtype=float) * 60.0
-        first = EphemerisCache(disk_dir=tmp_path)
-        first.constellation_grid(props, epoch, full[:90])
-
-        reborn = EphemerisCache(disk_dir=tmp_path)
-        got = reborn.extend_constellation_grid(
-            props, epoch, full, prefix_offsets_s=full[:90])
-        assert reborn.stats.grid_extensions == 1
-        assert reborn.stats.disk_hits >= 1
+        assert cache.stats.disk_hits == 1
         assert grids_equal(got, cold_grid(props, epoch, full))
 
     def test_extended_segment_serves_yet_another_cache(self, tmp_path):
@@ -164,18 +147,6 @@ class TestSegmentTierExtension:
         assert reader.stats.grid_extensions == 0
         assert grids_equal(got, cold_grid(props, epoch, full))
 
-    def test_bogus_prefix_hint_is_ignored(self, tmp_path):
-        """A prefix hint that is not actually a byte-prefix of the
-        requested grid must not poison the extent record."""
-        props = make_fleet(2)
-        epoch = props[0].tle.epoch
-        full = np.arange(60, dtype=float) * 30.0
-        cache = EphemerisCache(disk_dir=tmp_path)
-        bogus = np.arange(30, dtype=float) * 31.0
-        got = cache.extend_constellation_grid(
-            props, epoch, full, prefix_offsets_s=bogus)
-        assert cache.stats.grid_extensions == 0
-        assert grids_equal(got, cold_grid(props, epoch, full))
 
 
 # ----------------------------------------------------------------------
@@ -225,23 +196,4 @@ if HAS_HYPOTHESIS:
                 cache.constellation_grid(props, epoch, full[:t])
             got = cache.constellation_grid(props, epoch, full)
             assert cache.stats.grid_extensions == len(splits)
-            assert grids_equal(got, cold_grid(props, epoch, full))
-
-        @settings(max_examples=10, deadline=None)
-        @given(props=fleets(), grid=grid_splits())
-        def test_reopen_extension_bit_identical(self, props, grid,
-                                                tmp_path_factory):
-            """Prefix through the segment tier after a cache-dir
-            reopen — the restarted-worker path, randomized."""
-            full, splits = grid
-            t = splits[0]
-            epoch = props[0].tle.epoch
-            disk = tmp_path_factory.mktemp("twin-reopen")
-            first = EphemerisCache(disk_dir=disk)
-            first.constellation_grid(props, epoch, full[:t])
-
-            reborn = EphemerisCache(disk_dir=disk)
-            got = reborn.extend_constellation_grid(
-                props, epoch, full, prefix_offsets_s=full[:t])
-            assert reborn.stats.grid_extensions == 1
             assert grids_equal(got, cold_grid(props, epoch, full))
