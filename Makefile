@@ -36,8 +36,8 @@ bench-smoke:
 	$(PYTHON) -m satiot scenario run benchmarks/scenarios/smoke.json \
 		--smoke --out benchmarks/output/scenario-smoke
 
-# Regenerate the 36 committed benchmarks/output/*.txt tables cold (no
-# ephemeris cache, so no pass list from an older build is reused) and
+# Regenerate the 36 committed benchmarks/output/*.txt tables cold (the
+# ephemeris cache off, so every grid and window is computed fresh) and
 # fail if any differs from the committed copy.
 GOLDEN_BENCHES = $(notdir $(wildcard $(addprefix benchmarks/bench_, \
 	ablation_*.py appendix_*.py extension_*.py fig*.py optimization_*.py \

@@ -8,8 +8,9 @@ Measures the two performance claims of ``satiot.runtime``:
   gated on ``os.cpu_count()`` so single-core CI boxes still verify
   correctness);
 * **cache warmth** — a second campaign on a warm ephemeris cache must
-  beat the cache-cold run, because every SGP4 grid and refined pass list
-  is served from memory/disk instead of recomputed.
+  beat the cache-cold run, because every SGP4 grid is served from
+  memory instead of recomputed (the windows are refined again on it),
+  and must produce the cold run's dataset.
 
 Tiny mode (``SATIOT_BENCH_TINY=1``, used by ``make bench-smoke``)
 shrinks the campaign so the whole file runs in seconds.
@@ -68,9 +69,12 @@ def compute_scaling():
 
 def compute_cache_warmth():
     cache = EphemerisCache()
-    _, cold = _timed_run(1, cache)
-    _, warm = _timed_run(1, cache)
-    assert cache.stats.pass_hits > 0, "warm run never hit the cache"
+    cold_result, cold = _timed_run(1, cache)
+    misses = cache.stats.grid_misses
+    warm_result, warm = _timed_run(1, cache)
+    assert cache.stats.grid_misses == misses, "warm run refilled a grid"
+    assert list(warm_result.dataset) == list(cold_result.dataset), \
+        "warm run diverged from the cold dataset"
     return cold, warm
 
 

@@ -2,14 +2,15 @@
 
 Starts two in-process :class:`satiot.serving.ServingServer` instances —
 one with the micro-batching engine enabled, one degraded to one
-request per batch — and drives both with an asyncio load generator
-sweeping concurrency levels.  Every request queries ``/v1/passes`` for
-a *unique* random location, so the result cache cannot help.  Both
-modes answer through the same fleet pass search over a cached
-constellation grid; unbatched, every request runs its own search (one
-TEME→ECEF conversion of the whole grid, one refinement pass, one
-executor hand-off), batched, one search serves every observer of the
-flush.  The comparison isolates that per-search overhead.
+request per batch (``max_batch=1``) — and drives both with an asyncio
+load generator sweeping concurrency levels.  Every request queries
+``/v1/passes`` for a *unique* random location, so the result cache
+cannot help.  Both modes answer through the same fleet pass search over
+a cached constellation grid; unbatched, every request runs its own
+search (one TEME→ECEF conversion of the whole grid, one refinement
+pass, one executor hand-off), batched, one search serves every
+observer of the flush.  The comparison isolates that per-search
+overhead.
 
 Reported per (mode, concurrency): throughput (req/s), client-side
 p50/p90/p99/max latency, status counts; plus the server-side batch-size
@@ -182,7 +183,7 @@ async def _run_level(port: int, concurrency: int, total_requests: int,
 async def _bench_mode(batching: bool, concurrency_levels, horizon_s,
                       coarse_step_s: float, seed: int) -> dict:
     config = ServingConfig(
-        port=0, batching=batching, max_batch=256, window_s=0.002,
+        port=0, max_batch=256 if batching else 1, window_s=0.002,
         max_pending=8192, coarse_step_s=coarse_step_s,
         cache_decimals=6, cache_ttl_s=3600.0)
     server = ServingServer(config)
@@ -319,7 +320,7 @@ async def _probe(port: int, horizon_s: float, seed: int) -> List[bytes]:
 
 def _fleet_config() -> ServingConfig:
     return ServingConfig(
-        port=0, batching=True, max_batch=256, window_s=0.002,
+        port=0, max_batch=256, window_s=0.002,
         max_pending=8192, coarse_step_s=30.0, cache_decimals=6,
         cache_ttl_s=3600.0)
 
@@ -363,10 +364,10 @@ def run_fleet_benchmark(smoke: bool,
             probes[workers] = asyncio.run(
                 _probe(port, horizon_s, seed + 7))
             # Fresh per-level coordinates: the segment tier is shared
-            # across levels by design (that's the zero-copy story), but
-            # pass lists are per-process memory only — every level
-            # answers unseen observers, so each request is a real pass
-            # search over the mapped grid, comparable across levels.
+            # across levels by design (that's the zero-copy story), and
+            # every level answers unseen observers, so no request is a
+            # result-cache hit: each is a real pass search over the
+            # mapped grid, comparable across levels.
             level = _run_fleet_level(port, clients, total_requests,
                                      horizon_s, seed + 7919 * workers)
             metrics = fleet.fleet_metrics()

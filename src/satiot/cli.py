@@ -485,18 +485,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("error: --rate must be positive")
     if args.rate != 1.0 and not args.realtime:
         raise SystemExit("error: --rate requires --realtime")
-    config = ServingConfig(
-        host=args.host, port=args.port,
-        constellations=constellations,
-        window_s=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch,
-        max_pending=args.max_pending,
-        batching=not args.no_batching,
-        cache_ttl_s=args.cache_ttl,
-        coarse_step_s=args.step,
-        realtime=args.realtime,
-        rate=args.rate,
-        providers=providers)
+    try:
+        config = ServingConfig(
+            host=args.host, port=args.port,
+            constellations=constellations,
+            window_s=args.batch_window_ms / 1000.0,
+            max_batch=args.max_batch,
+            max_pending=args.max_pending,
+            cache_ttl_s=args.cache_ttl,
+            coarse_step_s=args.step,
+            realtime=args.realtime,
+            rate=args.rate,
+            providers=providers)
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
 
     from .serving.supervisor import default_workers
     try:
@@ -516,7 +518,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         await server.start()
-        mode = "micro-batched" if config.batching else "unbatched"
+        mode = "micro-batched" if config.max_batch > 1 else "unbatched"
         if config.realtime:
             mode += f", realtime x{config.rate:g}"
         print(f"satiot serving on "
@@ -879,12 +881,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-window-ms", type=float, default=2.0,
                    help="micro-batch coalescing window (ms)")
     p.add_argument("--max-batch", type=int, default=256,
-                   help="flush a batch at this many pending requests")
+                   help="flush a batch at this many pending requests "
+                        "(1 = unbatched baseline)")
     p.add_argument("--max-pending", type=int, default=1024,
                    help="request-queue bound; beyond it clients get "
                         "429 + Retry-After")
-    p.add_argument("--no-batching", action="store_true",
-                   help="serve each request serially (baseline mode)")
     p.add_argument("--cache-ttl", type=float, default=60.0,
                    help="result-cache TTL (s)")
     p.add_argument("--step", type=float, default=30.0,

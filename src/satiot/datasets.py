@@ -56,6 +56,8 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("manifest is not a JSON object")
         # Archives written before the columnar data plane carry no
         # trace_format field; they are CSV by construction.
         data.setdefault("trace_format", "csv")
@@ -98,7 +100,7 @@ def _clear_previous_export(root: Path) -> None:
             _site_traces_path(root, code, previous.trace_format)
             for code in previous.sites
             if code in SITES and previous.trace_format in TRACE_FORMATS]
-    except (ValueError, TypeError, AttributeError):
+    except (ValueError, TypeError):
         return
     for site_file in site_files:
         site_file.unlink(missing_ok=True)

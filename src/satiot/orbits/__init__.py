@@ -11,7 +11,7 @@ from .kepler import (KeplerianElements, circular_velocity_km_s,
                      mean_motion_rev_day_from_altitude, orbital_period_s,
                      semi_major_axis_km, solve_kepler)
 from .passes import (ContactWindow, PassPredictor, find_passes_fleet,
-                     find_passes_multi, observer_geometry)
+                     observer_geometry)
 from .sgp4 import SGP4, DecayedError, DeepSpaceError, SGP4Error
 from .sgp4_batch import SGP4Batch
 from .timebase import Epoch, gmst, jday, invjday
@@ -28,8 +28,8 @@ __all__ = [
     "KeplerianElements", "solve_kepler", "semi_major_axis_km",
     "mean_motion_rev_day_from_altitude", "orbital_period_s",
     "circular_velocity_km_s",
-    "ContactWindow", "PassPredictor", "find_passes_multi",
-    "find_passes_fleet", "observer_geometry",
+    "ContactWindow", "PassPredictor", "find_passes_fleet",
+    "observer_geometry",
     "SGP4", "SGP4Error", "DeepSpaceError", "DecayedError",
     "SGP4Batch",
     "Epoch", "gmst", "jday", "invjday",

@@ -25,10 +25,11 @@ kernel for the ~90 % of samples where a satellite is geometrically
 below an observer's horizon.  Bisection then runs in lockstep over
 every pending crossing of every pair, one batched SGP4 gather per
 iteration.  :meth:`PassPredictor.find_passes` (through
-:meth:`PassPredictor.windows_from_coarse`) and :func:`find_passes_multi`
-refine through the same search as its one-satellite cases, so every
-entry point yields the same windows for the same (satellite, observer)
-pair.
+:meth:`PassPredictor.windows_from_coarse`) refines through the same
+search as its one-pair case, and the cached search
+(:meth:`satiot.runtime.EphemerisCache.find_passes_fleet`) runs the same
+grid-to-windows step on its memoized grid, so every entry point yields
+the same windows for the same (satellite, observer) pair.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .topocentric import (LookAngles, elevation_from_ecef, look_angles,
                           sez_rotation)
 
 __all__ = ["ContactWindow", "PassPredictor", "REFINE_MODES",
-           "check_elevation_mask", "find_passes_multi",
-           "find_passes_fleet", "observer_geometry"]
+           "check_elevation_mask", "find_passes_fleet",
+           "observer_geometry"]
 
 #: Supported horizon-crossing refinement modes.
 REFINE_MODES = ("bisect", "interp")
@@ -244,8 +245,7 @@ class _PassSearch:
                  propagators: Sequence[SGP4],
                  observers: Sequence[GeodeticPoint],
                  min_elevation_deg: float, refine_tol_s: float,
-                 refine: str, batch: Optional[SGP4Batch] = None,
-                 geometry: Optional[Sequence[tuple]] = None) -> None:
+                 refine: str) -> None:
         check_elevation_mask(min_elevation_deg)
         if refine not in REFINE_MODES:
             raise ValueError(f"unknown refine mode {refine!r}; "
@@ -257,23 +257,40 @@ class _PassSearch:
         self.mask = min_elevation_deg
         self.tol = refine_tol_s
         self.refine = refine
-        self._batch = batch
-        self._geometry = geometry
+        self._batch: Optional[SGP4Batch] = None
         self._sites: Optional[np.ndarray] = None
         self._rots: Optional[np.ndarray] = None
         self._deltas: Optional[np.ndarray] = None
         self._out: List[List[ContactWindow]] = []
         self._parts: List[tuple] = []
 
+    @property
+    def batch(self) -> SGP4Batch:
+        """The searched fleet's :class:`SGP4Batch`, built on first use."""
+        if self._batch is None:
+            self._batch = SGP4Batch.from_propagators(self.propagators)
+        return self._batch
+
     def _site_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked ``(M, 3)`` sites and ``(M, 3, 3)`` SEZ rotations."""
         if self._sites is None:
-            geometry = self._geometry or observer_geometry(self.observers)
+            geometry = observer_geometry(self.observers)
             self._sites = np.stack([site for site, _ in geometry])
             self._rots = np.stack([rot for _, rot in geometry])
         return self._sites, self._rots
 
     # ------------------------------------------------------------------
+    def fleet(self, r_teme: np.ndarray) -> List[List[List[ContactWindow]]]:
+        """``results[n][m]`` of every pair from the fleet's ``(N, T, 3)``
+        TEME grid on :attr:`offsets`: one GMST + rotation for the whole
+        stack (the jd row broadcasts across satellites), one search."""
+        n, m = len(self.propagators), len(self.observers)
+        r_ecef = teme_to_ecef(r_teme, self.epoch.offset_jd(self.offsets))
+        self.add_pairs(r_ecef, np.repeat(np.arange(n), m),
+                       np.tile(np.arange(m), n))
+        windows = self.windows()
+        return [windows[i * m:(i + 1) * m] for i in range(n)]
+
     def add_pairs(self, r_ecef: np.ndarray, pair_sat: Sequence[int],
                   pair_obs: Sequence[int]) -> None:
         """Add the pairs ``(propagators[pair_sat[k]],
@@ -409,13 +426,11 @@ class _PassSearch:
                     t: np.ndarray) -> np.ndarray:
         """Elevation of satellite ``sat[k]`` over observer ``obs[k]``
         at ``epoch + t[k]``: one gather, one rotation, one SEZ pass."""
-        if self._batch is None:
-            self._batch = SGP4Batch.from_propagators(self.propagators)
         if self._deltas is None:
             self._deltas = np.array([float(self.epoch - p.tle.epoch)
                                      for p in self.propagators])
         sites, rots = self._site_arrays()
-        r, _ = self._batch.propagate_pairs(sat, self._deltas[sat] + t)
+        r, _ = self.batch.propagate_pairs(sat, self._deltas[sat] + t)
         r_ecef = teme_to_ecef(r, self.epoch.offset_jd(t))
         return elevation_from_ecef(None, r_ecef, sites[obs], rots[obs])
 
@@ -495,24 +510,6 @@ def observer_geometry(observers: Sequence[GeodeticPoint],
             for obs in observers]
 
 
-def find_passes_multi(propagator: SGP4,
-                      observers: Sequence[GeodeticPoint],
-                      epoch: Epoch, duration_s: float,
-                      coarse_step_s: float = 30.0,
-                      min_elevation_deg: float = 0.0,
-                      refine_tol_s: float = 0.5,
-                      refine: str = "bisect",
-                      geometry: Optional[Sequence[tuple]] = None,
-                      ) -> List[List[ContactWindow]]:
-    """Contact windows of one satellite over N observers: the
-    one-satellite case of :func:`find_passes_fleet`."""
-    return find_passes_fleet([propagator], observers, epoch, duration_s,
-                             coarse_step_s=coarse_step_s,
-                             min_elevation_deg=min_elevation_deg,
-                             refine_tol_s=refine_tol_s, refine=refine,
-                             geometry=geometry)[0]
-
-
 def find_passes_fleet(propagators: Sequence[SGP4],
                       observers: Sequence[GeodeticPoint],
                       epoch: Epoch, duration_s: float,
@@ -520,36 +517,24 @@ def find_passes_fleet(propagators: Sequence[SGP4],
                       min_elevation_deg: float = 0.0,
                       refine_tol_s: float = 0.5,
                       refine: str = "bisect",
-                      geometry: Optional[Sequence[tuple]] = None,
                       ) -> List[List[List[ContactWindow]]]:
     """Contact windows of N satellites over M observers: the pass search.
 
     The fleet is propagated in one :class:`SGP4Batch` call over one
     shared coarse grid.  GMST and TEME→ECEF run once per grid and every
     crossing of every pair is refined in lockstep
-    (:class:`_PassSearch`).  ``geometry`` may carry
-    :func:`observer_geometry` output to amortize site/rotation setup.
+    (:meth:`_PassSearch.fleet`).  A bad mask or refine mode fails before
+    any SGP4 work.
 
     Returns ``results[n][m]``: the windows of satellite ``n`` over
     observer ``m``, which do not depend on the other pairs searched.
     """
     propagators = list(propagators)
     observers = list(observers)
-    if not propagators:
-        return []
-    if not observers:
-        return [[] for _ in propagators]
     offsets = PassPredictor.coarse_offsets(duration_s, coarse_step_s)
-    batch = SGP4Batch.from_propagators(propagators)
-    r, _ = batch.propagate_offsets(epoch, offsets)
-    # One GMST + one rotation for the whole (N, T, 3) stack: the jd row
-    # broadcasts across satellites, so the trigonometry runs once.
-    r_ecef = teme_to_ecef(r, epoch.offset_jd(offsets))
-    n, m = len(propagators), len(observers)
     search = _PassSearch(epoch, offsets, propagators, observers,
-                         min_elevation_deg, refine_tol_s, refine, batch,
-                         geometry)
-    search.add_pairs(r_ecef, np.repeat(np.arange(n), m),
-                     np.tile(np.arange(m), n))
-    windows = search.windows()
-    return [windows[i * m:(i + 1) * m] for i in range(n)]
+                         min_elevation_deg, refine_tol_s, refine)
+    if not propagators or not observers:
+        return [[] for _ in propagators]
+    r, _ = search.batch.propagate_offsets(epoch, offsets)
+    return search.fleet(r)

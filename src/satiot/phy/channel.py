@@ -48,8 +48,14 @@ def ar1_shadowing_db(times_s: np.ndarray, sigma_db: float,
         raise ValueError("times must be non-decreasing")
     rho = np.exp(-dt / correlation_time_s)
     innov = rng.normal(0.0, 1.0, size=n - 1) * sigma_db * np.sqrt(1 - rho**2)
-    for i in range(1, n):
-        out[i] = rho[i - 1] * out[i - 1] + innov[i - 1]
+    # The recurrence in Python floats: the same IEEE multiply-then-add
+    # as NumPy scalars, without their per-step boxing.
+    prev = float(out[0])
+    series = []
+    for r, e in zip(rho.tolist(), innov.tolist()):
+        prev = r * prev + e
+        series.append(prev)
+    out[1:] = series
     return out
 
 

@@ -1,38 +1,33 @@
-"""Memoizing cache for SGP4 ephemeris grids and pass predictions.
+"""Memoizing cache for SGP4 ephemeris grids.
 
 The passive campaign's dominant cost is orbital geometry: every site
 re-propagates every satellite over the full campaign span, and the same
 position/velocity grid is recomputed for all eight sites even though the
 TEME-frame ephemeris does not depend on the observer at all.  This
-module removes that redundancy with two memoized products:
-
-* **propagation grids** — the ``(r, v)`` TEME state of a fleet
-  sampled on the coarse time grid as ``(N, T, 3)`` stacks, keyed by
-  ``(fleet fingerprint, epoch, grid)`` and shared across *all* sites of
-  a campaign.  A single satellite's grid is the N=1 stack;
-* **pass predictions** — the refined :class:`ContactWindow` list of one
-  satellite over one observer, keyed by ``(TLE fingerprint, epoch,
-  duration, step, elevation mask, quantized location, refine
-  tolerance)`` and shared across repeated campaign and benchmark
-  invocations.
+module removes that redundancy with one memoized product, the
+**propagation grid**: the ``(r, v)`` TEME state of a fleet sampled on
+the coarse time grid as ``(N, T, 3)`` stacks, keyed by ``(fleet
+fingerprint, epoch, grid)`` and shared across *all* sites of a
+campaign.  A single satellite's grid is the N=1 stack.  Every cached
+pass search runs the uncached search's grid-to-windows step on such a
+grid, so refining its windows again costs no SGP4 grid work and keeps
+them the windows of a fresh computation.
 
 Cache lookups are exact — keys incorporate every input that influences
 the cached value — so a hit returns arrays that are bit-identical to a
 fresh computation, preserving the runtime's determinism contract.
 
-Both products live in an in-memory LRU tier; the grid LRU is bounded
-in satellites, an ``(N, T, 3)`` stack counting N.  Grids — and only
-grids — also have an on-disk tier, enabled with ``disk_dir=`` or the
-``SATIOT_EPHEMERIS_CACHE_DIR`` environment variable: every grid is
-written once as a *segment*, the ``(N, T, 3)`` position/velocity stacks
-as raw ``.npy`` files plus a SHA-256 sidecar, in a deterministic layout
-(a single satellite's grid is an N=1 segment).  Segments are opened
-with ``np.load(mmap_mode="r")``: every process that loads the same
-segment maps the *same* physical pages, so N serving workers share one
+Grids live in an in-memory LRU tier bounded in satellites, an
+``(N, T, 3)`` stack counting N.  They also have an on-disk tier,
+enabled with ``disk_dir=`` or the ``SATIOT_EPHEMERIS_CACHE_DIR``
+environment variable: every grid is written once as a *segment*, the
+``(N, T, 3)`` position/velocity stacks as raw ``.npy`` files plus a
+SHA-256 sidecar, in a deterministic layout (a single satellite's grid
+is an N=1 segment).  Segments are opened with
+``np.load(mmap_mode="r")``: every process that loads the same segment
+maps the *same* physical pages, so N serving workers share one
 read-only resident copy of the fleet ephemeris instead of holding N
-private copies.  Pass lists are not written to disk: recomputing them
-from a mapped segment is faster than reading them back.  Files of
-other formats in the directory are ignored.
+private copies.  Files of other formats in the directory are ignored.
 
 The segment tier is **checksummed and self-healing**: a corrupted,
 truncated or otherwise unreadable segment is detected on load,
@@ -61,7 +56,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..faults import fault_fires
-from ..orbits.frames import GeodeticPoint, teme_to_ecef
+from ..orbits.frames import GeodeticPoint
 from ..orbits.passes import ContactWindow, PassPredictor, _PassSearch
 from ..orbits.sgp4 import SGP4
 from ..orbits.sgp4_batch import SGP4Batch
@@ -112,22 +107,17 @@ def constellation_fingerprint(tles: Sequence[TLE]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _quantize_location(observer: GeodeticPoint,
-                       decimals: int = 9) -> Tuple[float, float, float]:
-    """Observer location quantized to ~0.1 mm so float noise can't split
-    otherwise-identical cache keys."""
-    return (round(float(observer.latitude_deg), decimals),
-            round(float(observer.longitude_deg), decimals),
-            round(float(observer.altitude_km), decimals))
-
-
 @dataclass
 class CacheStats:
-    """Hit/miss counters, split by cached product and tier."""
+    """Hit/miss counters of the grid tiers, plus pass-search volume."""
 
     grid_hits: int = 0
     grid_misses: int = 0
+    #: Always 0: pass lists are not cached (every search refines its
+    #: windows on the cached grid).  Kept so :meth:`snapshot` keeps its
+    #: positions.
     pass_hits: int = 0
+    #: (satellite, observer) pairs searched by :meth:`find_passes_fleet`.
     pass_misses: int = 0
     disk_hits: int = 0
     disk_writes: int = 0
@@ -149,19 +139,6 @@ class CacheStats:
     #: also counted in :attr:`grid_misses` — the fleet entry did miss.
     grid_extensions: int = 0
 
-    @property
-    def hits(self) -> int:
-        return self.grid_hits + self.pass_hits
-
-    @property
-    def misses(self) -> int:
-        return self.grid_misses + self.pass_misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def snapshot(self) -> Tuple[int, ...]:
         return (self.grid_hits, self.grid_misses, self.pass_hits,
                 self.pass_misses, self.disk_hits, self.disk_writes,
@@ -169,7 +146,7 @@ class CacheStats:
 
 
 class EphemerisCache:
-    """Ephemeris memoizer: memory LRUs plus an optional segment tier.
+    """Ephemeris memoizer: a grid LRU plus an optional segment tier.
 
     Parameters
     ----------
@@ -179,9 +156,6 @@ class EphemerisCache:
         30 s steps is ~8.6 k samples → ~400 kB per satellite, so the
         default comfortably holds every satellite of the study.  A
         stack larger than the capacity is kept alone.
-    max_pass_lists:
-        In-memory LRU capacity for per-(satellite, site) pass lists;
-        these are tiny (a few windows each).
     disk_dir:
         Optional directory for the shared segment tier.  Created on
         demand; safe to share between concurrent worker processes
@@ -189,17 +163,16 @@ class EphemerisCache:
         Segments load as read-only memmaps.
 
     A cache pickles as its configuration, never its contents: it
-    arrives in a shard worker empty, with the same capacities and disk
+    arrives in a shard worker empty, with the same capacity and disk
     tier, and the process-default cache arrives as the worker's own
     :func:`get_default_cache`.
     """
 
-    def __init__(self, max_grids: int = 256, max_pass_lists: int = 4096,
+    def __init__(self, max_grids: int = 256,
                  disk_dir: Union[str, Path, None] = None) -> None:
-        if max_grids < 1 or max_pass_lists < 1:
-            raise ValueError("cache capacities must be positive")
+        if max_grids < 1:
+            raise ValueError("cache capacity must be positive")
         self.max_grids = int(max_grids)
-        self.max_pass_lists = int(max_pass_lists)
         self.disk_dir = Path(disk_dir) if disk_dir else None
         self.stats = CacheStats()
         self._warned_disk = False
@@ -207,8 +180,6 @@ class EphemerisCache:
             = OrderedDict()
         #: Satellites held by the grid LRU (a stack of N counts N).
         self._grid_load = 0
-        self._pass_lists: "OrderedDict[tuple, Tuple[ContactWindow, ...]]" \
-            = OrderedDict()
         # Most recent offsets grid served per (fleet, epoch) — the
         # candidate prefix for the incremental extension fast path.
         self._extents: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
@@ -216,8 +187,7 @@ class EphemerisCache:
     def __reduce__(self):
         if self is _default_cache:
             return get_default_cache, ()
-        return EphemerisCache, (self.max_grids, self.max_pass_lists,
-                                self.disk_dir)
+        return EphemerisCache, (self.max_grids, self.disk_dir)
 
     # ------------------------------------------------------------------
     # Keys
@@ -232,18 +202,6 @@ class EphemerisCache:
         content = hashlib.sha1(offsets.tobytes()).hexdigest()[:16]
         return ("cgrid", constellation_fingerprint(tles),
                 round(float(epoch.jd), 9), int(offsets.size), content)
-
-    @staticmethod
-    def pass_key(tle: TLE, observer: GeodeticPoint, epoch: Epoch,
-                 duration_s: float, coarse_step_s: float,
-                 min_elevation_deg: float, refine_tol_s: float,
-                 refine: str = "bisect") -> tuple:
-        return ("passes", tle_fingerprint(tle),
-                round(float(epoch.jd), 9), round(float(duration_s), 6),
-                round(float(coarse_step_s), 6),
-                round(float(min_elevation_deg), 6),
-                _quantize_location(observer),
-                round(float(refine_tol_s), 6), str(refine))
 
     # ------------------------------------------------------------------
     # Propagation grids
@@ -362,7 +320,7 @@ class EphemerisCache:
                 np.concatenate([v_prev, v_suf], axis=1))
 
     # ------------------------------------------------------------------
-    # Pass predictions (memory tier only)
+    # Pass searches on the cached grid
     # ------------------------------------------------------------------
     def find_passes(self, propagator: SGP4, observer: GeodeticPoint,
                     epoch: Epoch, duration_s: float,
@@ -370,8 +328,8 @@ class EphemerisCache:
                     min_elevation_deg: float = 0.0,
                     refine_tol_s: float = 0.5,
                     refine: str = "bisect") -> List[ContactWindow]:
-        """Cached windows of one satellite over one observer: the
-        one-pair case of :meth:`find_passes_fleet`."""
+        """Windows of one satellite over one observer: the one-pair
+        case of :meth:`find_passes_fleet`."""
         return self.find_passes_fleet(
             [propagator], [observer], epoch, duration_s,
             coarse_step_s=coarse_step_s,
@@ -385,75 +343,21 @@ class EphemerisCache:
                           min_elevation_deg: float = 0.0,
                           refine_tol_s: float = 0.5,
                           refine: str = "bisect",
-                          geometry: Optional[Sequence[tuple]] = None,
                           ) -> List[List[List[ContactWindow]]]:
-        """Cached fleet pass prediction: ``results[sat][observer]``.
-
-        Pass lists are cached per (satellite, observer) pair, whatever
-        search computed them: a pair's windows do not depend on the
-        other pairs searched.  Missing pairs are computed by one pass
-        search: one cached :meth:`constellation_grid` fill, one shared
-        TEME→ECEF conversion (GMST evaluated once) restricted to the
-        satellites that actually miss, and lockstep refinement of every
-        missing pair's crossings.
-        """
+        """:func:`~satiot.orbits.passes.find_passes_fleet` on the grid
+        from :meth:`constellation_grid`: ``results[sat][observer]``,
+        the uncached search's windows.  The mask and refine mode are
+        checked before any grid fill."""
         propagators = list(propagators)
         observers = list(observers)
-        n_obs = len(observers)
-        results: List[List[Optional[List[ContactWindow]]]] = \
-            [[None] * n_obs for _ in propagators]
-        keys: List[List[tuple]] = []
-        missing_by_sat: List[List[int]] = []
-        for i, propagator in enumerate(propagators):
-            sat_keys: List[tuple] = []
-            missing: List[int] = []
-            for m, observer in enumerate(observers):
-                key = self.pass_key(propagator.tle, observer, epoch,
-                                    duration_s, coarse_step_s,
-                                    min_elevation_deg, refine_tol_s,
-                                    refine)
-                sat_keys.append(key)
-                cached = self._lookup_passes(key)
-                if cached is not None:
-                    results[i][m] = list(cached)
-                else:
-                    missing.append(m)
-            keys.append(sat_keys)
-            missing_by_sat.append(missing)
-
-        miss_sats = [i for i, missing in enumerate(missing_by_sat)
-                     if missing]
-        if miss_sats:
-            self.stats.pass_misses += sum(
-                len(missing_by_sat[i]) for i in miss_sats)
-            offsets = PassPredictor.coarse_offsets(duration_s,
-                                                   coarse_step_s)
-            search = _PassSearch(
-                epoch, offsets, [propagators[i] for i in miss_sats],
-                observers, min_elevation_deg, refine_tol_s, refine,
-                geometry=geometry)
-            r, _ = self.constellation_grid(propagators, epoch, offsets)
-            jd = epoch.offset_jd(offsets)
-            # One GMST + rotation for all satellites that miss.
-            r_ecef = teme_to_ecef(r[miss_sats], jd)
-            pairs = [(row, m) for row, i in enumerate(miss_sats)
-                     for m in missing_by_sat[i]]
-            search.add_pairs(r_ecef, [row for row, _ in pairs],
-                             [m for _, m in pairs])
-            for (row, m), windows in zip(pairs, search.windows()):
-                i = miss_sats[row]
-                self._lru_put(self._pass_lists, keys[i][m],
-                              tuple(windows), self.max_pass_lists)
-                results[i][m] = windows
-        return results  # type: ignore[return-value]
-
-    def _lookup_passes(self, key: tuple,
-                       ) -> Optional[Tuple[ContactWindow, ...]]:
-        """Memory lookup of one pass list (stats updated)."""
-        cached = self._lru_get(self._pass_lists, key)
-        if cached is not None:
-            self.stats.pass_hits += 1
-        return cached
+        offsets = PassPredictor.coarse_offsets(duration_s, coarse_step_s)
+        search = _PassSearch(epoch, offsets, propagators, observers,
+                             min_elevation_deg, refine_tol_s, refine)
+        if not propagators or not observers:
+            return [[] for _ in propagators]
+        self.stats.pass_misses += len(propagators) * len(observers)
+        r, _ = self.constellation_grid(propagators, epoch, offsets)
+        return search.fleet(r)
 
     # ------------------------------------------------------------------
     # Memory LRU tier
@@ -512,7 +416,6 @@ class EphemerisCache:
         self.stats.grid_bytes = 0
         self.stats.grid_private_bytes = 0
         self.stats.grid_mmap_bytes = 0
-        self._pass_lists.clear()
         self._extents.clear()
 
     def grid_resident_bytes(self) -> int:

@@ -60,14 +60,13 @@ class ServingConfig:
     constellations: Tuple[str, ...] = (DEFAULT_CONSTELLATION,)
     #: coalescing window armed by the first request of a batch
     window_s: float = 0.002
-    #: flush immediately once this many requests are pending
+    #: flush immediately once this many requests are pending (1 serves
+    #: every request in its own batch: the unbatched baseline)
     max_batch: int = 256
     #: queue bound; submissions beyond it are rejected with 429
     max_pending: int = 1024
     #: Retry-After hint (seconds) sent with 429 responses
     retry_after_s: float = 0.5
-    #: master switch — False degrades to per-request serial handling
-    batching: bool = True
     cache_ttl_s: float = 60.0
     cache_entries: int = 4096
     #: coordinate quantization (decimal places) for result-cache keys
@@ -90,6 +89,18 @@ class ServingConfig:
     clock_quantum_s: float = 60.0
     #: providers /v1/compare may select (None = all registered)
     providers: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        # Checked here, before a fleet supervisor forks workers that
+        # would each fail building their batchers and result cache.
+        for name, low in (("window_s", 0), ("max_batch", 1),
+                          ("max_pending", 1), ("cache_entries", 1)):
+            if not getattr(self, name) >= low:
+                raise ValueError(
+                    f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if not self.cache_ttl_s > 0:
+            raise ValueError(
+                f"cache_ttl_s must be > 0, got {self.cache_ttl_s!r}")
 
 
 _ENDPOINTS = {
@@ -134,7 +145,6 @@ class ServingServer:
         # event loop never blocks on compute.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="satiot-serving")
-        max_batch = self.config.max_batch if self.config.batching else 1
         handlers = {
             "passes": self.service.passes_batch,
             "presence": self.service.presence_batch,
@@ -144,7 +154,7 @@ class ServingServer:
         self._batchers: Dict[str, MicroBatcher] = {
             name: MicroBatcher(
                 handler,
-                max_batch=max_batch,
+                max_batch=self.config.max_batch,
                 window_s=self.config.window_s,
                 max_pending=self.config.max_pending,
                 retry_after_s=self.config.retry_after_s,

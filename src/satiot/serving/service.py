@@ -38,8 +38,7 @@ from ..core.stats import merge_intervals, total_length
 from ..econ.providers import ProviderSpec, get_provider, provider_names
 from ..orbits.doppler import doppler_shift_hz
 from ..orbits.frames import GeodeticPoint
-from ..orbits.passes import (ContactWindow, check_elevation_mask,
-                             observer_geometry)
+from ..orbits.passes import ContactWindow, check_elevation_mask
 from ..orbits.timebase import Epoch
 from ..orbits.topocentric import ecef_states, look_angles_from_ecef
 from ..phy.link_budget import LinkBudget
@@ -506,15 +505,14 @@ class ConstellationService:
         per_observer: List[List[ContactWindow]] = \
             [[] for _ in observers]
         # All N satellites x M observers through one cached
-        # constellation grid, one GMST/ECEF pass and one shared
+        # constellation grid, one GMST/ECEF pass and one
         # observer-geometry precompute.  Extension is satellite-major
         # and the rise-time sort stable, so ties keep satellite order.
         per_sat = self.ephemeris.find_passes_fleet(
             [sat.propagator for sat in const], observers, epoch,
             horizon_s, coarse_step_s=self.coarse_step_s,
             min_elevation_deg=min_elevation_deg,
-            refine_tol_s=self.refine_tol_s, refine=self.refine,
-            geometry=observer_geometry(observers))
+            refine_tol_s=self.refine_tol_s, refine=self.refine)
         for rows in per_sat:
             for windows, acc in zip(rows, per_observer):
                 acc.extend(windows)

@@ -100,6 +100,8 @@ def load_checkpoint(root: Union[str, Path],
     except ValueError as exc:
         raise ValueError(
             f"{path}: checkpoint is not valid JSON ({exc})") from exc
+    if not isinstance(state, dict):
+        raise ValueError(f"{path}: checkpoint is not a JSON object")
     if state.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
             f"{path}: unsupported checkpoint format "

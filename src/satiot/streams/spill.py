@@ -168,10 +168,10 @@ def is_stream_archive(root: Union[str, Path]) -> bool:
     if not manifest.is_file():
         return False
     try:
-        return json.loads(
-            manifest.read_text()).get("format") == STREAM_FORMAT
+        data = json.loads(manifest.read_text())
     except (OSError, ValueError):
         return False
+    return isinstance(data, dict) and data.get("format") == STREAM_FORMAT
 
 
 def read_stream_manifest(root: Union[str, Path]) -> Dict[str, Any]:
@@ -184,6 +184,8 @@ def read_stream_manifest(root: Union[str, Path]) -> Dict[str, Any]:
     except ValueError as exc:
         raise TraceArchiveError(
             f"{path}: manifest is not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise TraceArchiveError(f"{path}: manifest is not a JSON object")
     if manifest.get("format") != STREAM_FORMAT:
         raise TraceArchiveError(
             f"{path}: unsupported archive format "

@@ -124,7 +124,7 @@ class TestFleetPasses:
                              cache=cache, coarse_step_s=60.0)
         assert warm == direct
         assert again == direct
-        assert cache.stats.hits > 0
+        assert cache.stats.grid_hits > 0
 
 
 class TestConstellationFromCatalog:

@@ -29,6 +29,16 @@ class TestDatasetInfoErrors:
         assert main(["dataset", "info", str(tmp_path)]) == 2
         assert "error: cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", ["[]", '"x"', "3", "null"])
+    def test_non_object_manifest_exits_2(self, tmp_path, capsys,
+                                         document):
+        (tmp_path / "manifest.json").write_text(document)
+        assert main(["dataset", "info", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot read dataset archive" in err
+        assert str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_manifest_pointing_at_missing_traces_exits_2(
             self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text(json.dumps({

@@ -1,8 +1,8 @@
 """Bit-identity of the multi-observer batch path vs. serial calls.
 
-The serving layer's cache-key sharing between serial and batched pass
-prediction is sound ONLY if batched evaluation over N observers is
-bit-identical (``==``, not ``allclose``) to N independent serial calls.
+Batching requests of many observers into one pass search is sound ONLY
+if batched evaluation over N observers is bit-identical (``==``, not
+``allclose``) to N independent serial calls.
 These tests pin that contract, property-style via hypothesis over
 observer locations and deterministically over the refine modes, masks
 and edge-case observers (poles, antimeridian, altitude).
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satiot.constellations.catalog import build_constellation
-from satiot.orbits import GeodeticPoint, find_passes_multi
+from satiot.orbits import GeodeticPoint, find_passes_fleet
 from satiot.orbits.passes import PassPredictor, observer_geometry
 from satiot.orbits.topocentric import (batch_elevations,
                                        batch_look_angles, ecef_states,
@@ -110,16 +110,15 @@ class TestLookAngleBitIdentity:
 class TestPassBitIdentity:
     @pytest.mark.parametrize("refine", ["bisect", "interp"])
     @pytest.mark.parametrize("mask_deg", [0.0, 10.0])
-    def test_find_passes_multi_equals_serial(self, satellites, refine,
-                                             mask_deg):
+    def test_one_sat_equals_serial(self, satellites, refine, mask_deg):
         epoch = satellites[0].tle.epoch
         duration = 12 * 3600.0
         observers = EDGE_OBSERVERS
         for sat in satellites:
-            rows = find_passes_multi(sat.propagator, observers, epoch,
+            rows = find_passes_fleet([sat.propagator], observers, epoch,
                                      duration, coarse_step_s=60.0,
                                      min_elevation_deg=mask_deg,
-                                     refine=refine)
+                                     refine=refine)[0]
             for observer, windows in zip(observers, rows):
                 predictor = PassPredictor(sat.propagator, observer,
                                           mask_deg)
@@ -130,13 +129,13 @@ class TestPassBitIdentity:
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(observer_strategy, min_size=2, max_size=4))
-    def test_find_passes_multi_random_observers(self, satellites,
-                                                observers):
+    def test_one_sat_random_observers(self, satellites, observers):
         sat = satellites[0]
         epoch = sat.tle.epoch
-        rows = find_passes_multi(sat.propagator, observers, epoch,
+        rows = find_passes_fleet([sat.propagator], observers, epoch,
                                  6 * 3600.0, coarse_step_s=60.0,
-                                 min_elevation_deg=5.0, refine="interp")
+                                 min_elevation_deg=5.0,
+                                 refine="interp")[0]
         for observer, windows in zip(observers, rows):
             predictor = PassPredictor(sat.propagator, observer, 5.0)
             assert windows == predictor.find_passes(
@@ -144,7 +143,8 @@ class TestPassBitIdentity:
 
     def test_cache_keys_shared_between_serial_and_batch(self,
                                                         satellites):
-        """A batched computation must satisfy later serial lookups."""
+        """Later one-pair searches reuse a batched search's grid and
+        give its windows."""
         sat = satellites[0]
         epoch = sat.tle.epoch
         cache = EphemerisCache()
@@ -154,12 +154,12 @@ class TestPassBitIdentity:
                                        coarse_step_s=60.0,
                                        min_elevation_deg=10.0,
                                        refine="interp")[0]
-        misses = cache.stats.pass_misses
+        hits, misses = cache.stats.grid_hits, cache.stats.grid_misses
         for observer, windows in zip(observers, rows):
             serial = cache.find_passes(sat.propagator, observer, epoch,
                                        6 * 3600.0, coarse_step_s=60.0,
                                        min_elevation_deg=10.0,
                                        refine="interp")
             assert serial == windows
-        assert cache.stats.pass_misses == misses  # all serial = hits
-        assert cache.stats.pass_hits >= len(observers)
+        assert cache.stats.grid_hits == hits + len(observers)
+        assert cache.stats.grid_misses == misses

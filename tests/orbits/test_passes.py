@@ -5,7 +5,7 @@ import pytest
 
 from satiot.orbits.frames import GeodeticPoint
 from satiot.orbits.passes import (ContactWindow, PassPredictor,
-                                  find_passes_fleet, find_passes_multi)
+                                  find_passes_fleet)
 from satiot.orbits.sgp4 import SGP4
 from satiot.runtime.ephemeris_cache import EphemerisCache
 
@@ -143,8 +143,8 @@ class TestElevationMaskRange:
             lambda: find_passes_fleet(sats[:1], self.SITES[:1], epoch,
                                       3600.0, min_elevation_deg=mask,
                                       refine="interp"),
-            lambda: find_passes_multi(sats[0], self.SITES, epoch,
-                                      3600.0, min_elevation_deg=mask),
+            lambda: find_passes_fleet(sats[:1], self.SITES, epoch,
+                                      3600.0, min_elevation_deg=mask)[0],
             lambda: cache.find_passes(sats[0], self.SITES[0], epoch,
                                       3600.0, min_elevation_deg=mask),
             lambda: cache.find_passes_fleet(sats, self.SITES, epoch,
@@ -154,6 +154,8 @@ class TestElevationMaskRange:
         for search in searches:
             with pytest.raises(ValueError, match="min_elevation_deg"):
                 search()
+        # Refused before any grid fill.
+        assert cache.stats.snapshot() == (0,) * 8
 
     @pytest.mark.parametrize("mask", [-5.0, 89.9])
     def test_range_bounds_accepted(self, mask):

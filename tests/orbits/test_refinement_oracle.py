@@ -177,21 +177,23 @@ class TestFleetSearchAgainstOracle:
                 assert fleet[n][m] == oracle_windows(
                     prop, observer, epoch + start, span, step, mask)
 
-    def test_cache_fleet_with_partial_hits(self):
-        """The cache refines only the missing pairs, in one search; the
-        windows still equal the oracle's."""
+    def test_cache_fleet_on_filled_grid(self):
+        """A cached search over the grid an earlier search (other
+        observer, other mask) filled reads that grid; the windows still
+        equal the oracle's."""
         props = [_sat(i, (500.0 + 90.0 * i, 50.0 + 15.0 * i, 0.001,
                           1e-5, 40.0 * i, 25.0 * i, 250.5))
                  for i in range(4)]
         observers = [GeodeticPoint(22.3, 114.2), GeodeticPoint(64.1, -21.9)]
         epoch = props[0].tle.epoch
         cache = EphemerisCache()
-        cache.find_passes(props[1], observers[1], epoch, 6 * 3600.0,
-                          coarse_step_s=60.0, min_elevation_deg=10.0)
+        cache.find_passes_fleet(props, observers[1:], epoch, 6 * 3600.0,
+                                coarse_step_s=60.0, min_elevation_deg=0.0)
         fleet = cache.find_passes_fleet(props, observers, epoch,
                                         6 * 3600.0, coarse_step_s=60.0,
                                         min_elevation_deg=10.0)
-        assert cache.stats.pass_hits == 1
+        assert (cache.stats.grid_hits, cache.stats.grid_misses) \
+            == (1, len(props))
         for n, prop in enumerate(props):
             for m, observer in enumerate(observers):
                 assert fleet[n][m] == oracle_windows(

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from satiot.constellations.catalog import build_constellation
 from satiot.orbits import SGP4, GeodeticPoint, SGP4Batch, find_passes_fleet
-from satiot.orbits.passes import PassPredictor, find_passes_multi
+from satiot.orbits.passes import PassPredictor
 from satiot.orbits.sgp4 import DecayedError
 from satiot.orbits.tle import TLE
 
@@ -295,10 +295,10 @@ class TestFleetPassSearch:
                                   min_elevation_deg=mask_deg,
                                   refine=refine)
         for i, prop in enumerate(props):
-            multi = find_passes_multi(prop, self.OBSERVERS, epoch,
+            multi = find_passes_fleet([prop], self.OBSERVERS, epoch,
                                       duration, coarse_step_s=60.0,
                                       min_elevation_deg=mask_deg,
-                                      refine=refine)
+                                      refine=refine)[0]
             assert fleet[i] == multi
             for m, observer in enumerate(self.OBSERVERS):
                 predictor = PassPredictor(prop, observer, mask_deg)

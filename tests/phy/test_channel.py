@@ -32,7 +32,41 @@ def simulate(channel, n=200, elevation=45.0, range_km=1200.0, seed=0,
         rx_gain_dbi=2.0, raining=raining)
 
 
+def _ar1_numpy_scalars(times_s, sigma_db, correlation_time_s, rng):
+    """Reference: the AR(1) recurrence stepped through NumPy scalars."""
+    t = np.asarray(times_s, dtype=float)
+    n = t.shape[0]
+    out = np.empty(n)
+    if n == 0:
+        return out
+    out[0] = rng.normal(0.0, sigma_db)
+    if n == 1:
+        return out
+    rho = np.exp(-np.diff(t) / correlation_time_s)
+    innov = rng.normal(0.0, 1.0, size=n - 1) * sigma_db * np.sqrt(1 - rho**2)
+    for i in range(1, n):
+        out[i] = rho[i - 1] * out[i - 1] + innov[i - 1]
+    return out
+
+
 class TestAr1Shadowing:
+    def test_bit_identical_to_numpy_scalar_recurrence(self):
+        gen = np.random.default_rng(2025)
+        series = [np.array([]), np.array([3.0]), np.array([3.0, 3.0]),
+                  np.array([0.0, 7.5])]
+        for n in gen.integers(0, 500, size=60).tolist():
+            gaps = gen.exponential(5.0, size=n)
+            gaps[gen.random(n) < 0.1] = 0.0    # repeated timestamps
+            series.append(gen.uniform(0.0, 1e5) + np.cumsum(gaps))
+        for seed, t in enumerate(series):
+            sigma = float(gen.uniform(0.0, 8.0))
+            tau = float(gen.uniform(0.5, 100.0))
+            got = ar1_shadowing_db(t, sigma, tau,
+                                   np.random.default_rng(seed))
+            want = _ar1_numpy_scalars(t, sigma, tau,
+                                      np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), (seed, t.size)
+
     def test_stationary_sigma(self):
         rng = np.random.default_rng(1)
         t = np.arange(20000) * 5.0

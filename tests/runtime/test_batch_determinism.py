@@ -6,10 +6,10 @@ passes in one geometry gather.  A pair's windows must not depend on which other 
 share its search: every consumer — campaign scheduler, serving flush —
 must produce **byte-identical** output whether its pairs are searched
 together ("batching on") or in smaller searches ("off": one pair per
-:meth:`EphemerisCache.find_passes` call, or one request per serving
-batch).  These tests pin that contract for pass search and beacon reception,
-plus the bit-identity of the cached constellation grid to
-per-satellite propagation.
+cached search, or one request per serving batch).  These tests pin
+that contract for pass search and beacon reception, plus the
+bit-identity of the cached constellation grid to per-satellite
+propagation.
 """
 
 from __future__ import annotations
@@ -39,25 +39,25 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 CFG = dict(sites=("HK",), constellations=("tianqi",), days=0.5, seed=7)
 
 
+class _PairwiseCache(EphemerisCache):
+    """Answers every fleet search one (satellite, observer) pair per
+    search of the parent class."""
+
+    def find_passes_fleet(self, propagators, observers, *args, **kwargs):
+        search = super().find_passes_fleet
+        return [[search([prop], [obs], *args, **kwargs)[0][0]
+                 for obs in observers] for prop in propagators]
+
+
 def _run_campaign(batch: bool):
-    """One campaign on a fresh cache.  Unbatched, the cache is first
-    filled one (satellite, site) search at a time, so the campaign's
-    fleet search only reads those per-pair windows back."""
-    cache = EphemerisCache()
+    """One campaign on a fresh cache.  Unbatched, the campaign's fleet
+    search is answered one (satellite, site) search at a time."""
+    cache = EphemerisCache() if batch else _PairwiseCache()
     config = PassiveCampaignConfig(**CFG)
-    _, satellites, epoch = _campaign_inputs(config)
-    if not batch:
-        for code in CFG["sites"]:
-            for sat in satellites:
-                cache.find_passes(
-                    sat.propagator, SITES[code].location, epoch,
-                    config.duration_s, coarse_step_s=config.coarse_step_s,
-                    min_elevation_deg=config.min_elevation_deg)
-    misses = cache.stats.pass_misses
+    _, satellites, _ = _campaign_inputs(config)
     result = PassiveCampaign(config, workers=1,
                              ephemeris_cache=cache).run()
-    searched = cache.stats.pass_misses - misses
-    assert searched == (len(satellites) if batch else 0)
+    assert cache.stats.pass_misses == len(satellites)
     return result
 
 

@@ -240,7 +240,7 @@ class TestCachedPasses:
 
         again = cache.find_passes(sat, HK, epoch, DAY_S)
         assert again == fresh
-        assert cache.stats.pass_hits == 1
+        assert (cache.stats.grid_hits, cache.stats.grid_misses) == (1, 1)
 
     def test_elevation_mask_in_key(self):
         tle = make_test_tle()
@@ -353,13 +353,11 @@ class TestPickling:
     def test_cache_pickles_as_empty_cache_with_same_config(self,
                                                             tmp_path):
         sat = SGP4(make_test_tle())
-        cache = EphemerisCache(max_grids=7, max_pass_lists=9,
-                               disk_dir=tmp_path)
+        cache = EphemerisCache(max_grids=7, disk_dir=tmp_path)
         cache.find_passes(sat, HK, sat.tle.epoch, 3600.0)
         clone = pickle.loads(pickle.dumps(cache))
         assert clone is not cache
-        assert (clone.max_grids, clone.max_pass_lists, clone.disk_dir) \
-            == (7, 9, tmp_path)
+        assert (clone.max_grids, clone.disk_dir) == (7, tmp_path)
         assert clone.grid_resident_bytes() == 0
         assert clone.stats.snapshot() == (0,) * 8
         assert len(pickle.dumps(cache)) < 512
@@ -383,14 +381,6 @@ class TestPickling:
 
 
 class TestStats:
-    def test_hit_rate(self):
-        stats = EphemerisCache().stats
-        assert stats.hit_rate == 0.0
-        stats.grid_hits = 3
-        stats.pass_misses = 1
-        assert stats.hits == 3 and stats.misses == 1
-        assert stats.hit_rate == pytest.approx(0.75)
-
     def test_snapshot_shape(self):
         snap = EphemerisCache().stats.snapshot()
         assert snap == (0, 0, 0, 0, 0, 0, 0, 0)

@@ -15,8 +15,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import pytest
 
+from satiot.cli import main
 from satiot.serving import ServingConfig, ServingServer
 
 
@@ -155,6 +162,7 @@ class TestEndpoints:
         assert payload["_ephemeris"]["disk_corrupt"] == 0
         assert payload["_ephemeris"]["disk_errors"] == 0
         assert payload["_ephemeris"]["pass_misses"] > 0
+        assert payload["_ephemeris"]["pass_hits"] == 0  # grids only
         assert b"endpoint" in raw and b"p99 ms" in raw
         assert b"disk_errors" in raw
 
@@ -246,10 +254,46 @@ class TestBatching:
             stats = server.metrics.endpoint("passes")
             return responses, stats.batch_histogram
 
-        config = fast_config(batching=False)
+        config = fast_config(max_batch=1)
         responses, histogram = run(with_server(config, scenario))
         assert all(status == 200 for status, _, _ in responses)
         assert set(histogram) == {1}  # every batch had size 1
+
+
+# ----------------------------------------------------------------------
+class TestConfigRange:
+    """Out-of-range serving values are refused by the configuration,
+    before any server is built or any fleet worker forked."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("window_s", -0.005), ("max_batch", 0), ("max_pending", 0),
+        ("cache_ttl_s", -1.0), ("cache_ttl_s", 0.0),
+        ("cache_entries", 0), ("window_s", float("nan"))])
+    def test_config_refuses(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServingConfig(**{field: value})
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-batch", "0"], ["--max-pending", "0"],
+        ["--batch-window-ms", "-5"], ["--cache-ttl", "-1"]])
+    def test_cli_refuses(self, flags):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", *flags])
+        assert str(info.value.code).startswith("error: ")
+
+    def test_fleet_cli_refuses_before_forking(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "satiot", "serve", "--port", "0",
+             "--workers", "2", "--max-batch", "0"],
+            capture_output=True, text=True, env=env, timeout=25)
+        assert time.monotonic() - start < 20.0
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("error: max_batch")
+        assert "Traceback" not in proc.stderr
 
 
 # ----------------------------------------------------------------------

@@ -94,6 +94,13 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_checkpoint(tmp_path)
 
+    def test_non_object_raises(self, tmp_path):
+        path = tmp_path / CHECKPOINT_NAME
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="not a JSON object") as info:
+            load_checkpoint(tmp_path)
+        assert str(path) in str(info.value)
+
     def test_foreign_format_raises(self, tmp_path):
         (tmp_path / CHECKPOINT_NAME).write_text(
             json.dumps({"format": "not-a-checkpoint"}))

@@ -119,6 +119,13 @@ class TestManifest:
             read_stream_manifest(tmp_path)
         assert not is_stream_archive(tmp_path)
 
+    @pytest.mark.parametrize("document", ["[]", '"x"', "3", "null"])
+    def test_rejects_non_object_manifest(self, tmp_path, document):
+        (tmp_path / MANIFEST_NAME).write_text(document)
+        assert not is_stream_archive(tmp_path)
+        with pytest.raises(TraceArchiveError, match="not a JSON object"):
+            read_stream_manifest(tmp_path)
+
 
 class TestCorruption:
     def test_truncated_shard_names_the_file(self, tmp_path):
