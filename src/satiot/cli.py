@@ -29,7 +29,7 @@ import errno
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 
 from . import __version__
@@ -399,29 +399,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _serve_fleet(args: argparse.Namespace, config, workers: int) -> int:
+def _names(text: str) -> Tuple[str, ...]:
+    """A comma-separated name list, stripped and lowercased."""
+    return tuple(s.strip().lower() for s in text.split(",") if s.strip())
+
+
+def _serve_fleet(config, extra, fleet_config, names: str) -> int:
     """Run ``satiot serve`` as a supervised multi-worker fleet."""
     import json
     import time as _time
 
-    from .serving.supervisor import FleetConfig, ServingFleet
+    from .serving.supervisor import ServingFleet
 
     try:
-        fleet = ServingFleet(config, FleetConfig(
-            workers=workers,
-            ephemeris_dir=args.cache_dir,
-            catalog=args.catalog,
-            select=tuple(args.select) if args.select else None,
-            catalog_name=args.catalog_name))
-    except RuntimeError as error:
+        fleet = ServingFleet(config, fleet_config, extra=extra)
+    except (RuntimeError, ValueError) as error:
         raise SystemExit(f"error: {error}")
     port = fleet.start()
     try:
         fleet.wait_ready()
-        names = ", ".join(config.constellations) or args.catalog_name
         print(f"satiot serving on http://{config.host}:{port} "
-              f"({workers} workers, {fleet.mode}; constellations: "
-              f"{names})", flush=True)
+              f"({fleet.workers} workers, {fleet.mode}; "
+              f"constellations: {names})", flush=True)
         while True:
             _time.sleep(3600.0)
     except KeyboardInterrupt:
@@ -443,16 +442,34 @@ def _serve_fleet(args: argparse.Namespace, config, workers: int) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .runtime.ephemeris_cache import EphemerisCache
     from .serving import ServingConfig, ServingServer
-    from .serving.service import ConstellationService
+    from .serving.server import build_service
+    from .serving.supervisor import FleetConfig, default_workers
     _install_faults(args)
-    constellations = tuple(
-        s.strip().lower() for s in args.constellations.split(",")
-        if s.strip())
-    for name in constellations:
-        if name not in CONSTELLATION_SPECS:
-            raise SystemExit(f"unknown constellation {name!r}; choose "
-                             f"from {sorted(CONSTELLATION_SPECS)}")
+    # The config validates every name and value before a catalog is
+    # read or a worker forked.
+    try:
+        config = ServingConfig(
+            host=args.host, port=args.port,
+            constellations=_names(args.constellations),
+            window_s=args.batch_window_ms / 1000.0,
+            max_batch=args.max_batch,
+            max_pending=args.max_pending,
+            cache_ttl_s=args.cache_ttl,
+            coarse_step_s=args.step,
+            realtime=args.realtime,
+            rate=args.rate,
+            providers=None if args.providers is None
+            else _names(args.providers))
+        workers = args.workers if args.workers is not None \
+            else default_workers()
+        fleet_config = FleetConfig(workers=workers,
+                                   ephemeris_dir=args.cache_dir)
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
+    if args.rate != 1.0 and not args.realtime:
+        raise SystemExit("error: --rate requires --realtime")
     extra = []
     if args.catalog:
         from .catalog import TleNotFound, constellation_from_catalog
@@ -465,56 +482,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"error: cannot load catalog {args.catalog!r}: {error}")
     elif args.select:
-        raise SystemExit("--select requires --catalog")
-    if not constellations and not extra:
-        raise SystemExit("nothing to serve: give --constellations "
+        raise SystemExit("error: --select requires --catalog")
+    if not config.constellations and not extra:
+        raise SystemExit("error: nothing to serve: give --constellations "
                          "and/or --catalog")
-    providers = None
-    if args.providers is not None:
-        from .econ.providers import PROVIDERS
-        providers = tuple(
-            s.strip().lower() for s in args.providers.split(",")
-            if s.strip())
-        for name in providers:
-            if name not in PROVIDERS:
-                raise SystemExit(f"unknown provider {name!r}; choose "
-                                 f"from {sorted(PROVIDERS)}")
-        if not providers:
-            raise SystemExit("error: --providers given but empty")
-    if args.rate <= 0:
-        raise SystemExit("error: --rate must be positive")
-    if args.rate != 1.0 and not args.realtime:
-        raise SystemExit("error: --rate requires --realtime")
-    try:
-        config = ServingConfig(
-            host=args.host, port=args.port,
-            constellations=constellations,
-            window_s=args.batch_window_ms / 1000.0,
-            max_batch=args.max_batch,
-            max_pending=args.max_pending,
-            cache_ttl_s=args.cache_ttl,
-            coarse_step_s=args.step,
-            realtime=args.realtime,
-            rate=args.rate,
-            providers=providers)
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-
-    from .serving.supervisor import default_workers
-    try:
-        workers = args.workers if args.workers is not None \
-            else default_workers()
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    if workers < 1:
-        raise SystemExit("error: --workers must be a positive integer")
+    names = ", ".join(sorted({*config.constellations,
+                              *(const.name.lower() for const in extra)}))
     if workers > 1:
-        return _serve_fleet(args, config, workers)
+        return _serve_fleet(config, extra, fleet_config, names)
 
-    service = ConstellationService(constellations=constellations,
-                                   coarse_step_s=config.coarse_step_s,
-                                   extra=extra, providers=providers)
-    server = ServingServer(config, service=service)
+    try:
+        service = build_service(config, extra,
+                                EphemerisCache(disk_dir=args.cache_dir))
+    except ValueError as error:  # a catalog named like a built-in
+        raise SystemExit(f"error: {error}")
+    server = ServingServer(config, service)
 
     async def run() -> None:
         await server.start()
@@ -523,8 +505,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             mode += f", realtime x{config.rate:g}"
         print(f"satiot serving on "
               f"http://{config.host}:{server.bound_port} "
-              f"({mode}; constellations: "
-              f"{', '.join(server.service.constellation_names)})")
+              f"({mode}; constellations: {names})")
         try:
             await server.serve_forever()
         finally:
@@ -895,9 +876,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: $SATIOT_SERVE_WORKERS or 1; >1 "
                         "starts the supervised SO_REUSEPORT fleet)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="shared ephemeris disk tier for fleet workers "
-                        "(mmap'd read-only by every worker; default: "
-                        "a private temp directory)")
+                   help="ephemeris disk tier, for any worker count "
+                        "(grid segments mmap'd read-only by every "
+                        "worker; default: in memory with one worker, "
+                        "a private temp directory with more)")
     p.add_argument("--realtime", action="store_true",
                    help="digital-twin mode: arm the sim clock so "
                         "queries may say start=now / start=next")

@@ -41,23 +41,14 @@ def daily_presence_hours(constellation: Constellation,
                          location: GeodeticPoint,
                          epoch: Epoch,
                          days: float = 1.0,
-                         min_elevation_deg: float = 0.0,
-                         coarse_step_s: float = 30.0) -> float:
+                         min_elevation_deg: float = 0.0) -> float:
     """Hours per day with at least one constellation satellite overhead.
 
     This is the paper's Figure 3a metric: the theoretical availability
     duration of a constellation at a spot, from TLE propagation.
     """
-    if days <= 0:
-        raise ValueError("days must be positive")
-    span_s = days * 86400.0
-    per_sat = find_passes_fleet(
-        [satellite.propagator for satellite in constellation], [location],
-        epoch, span_s, coarse_step_s=coarse_step_s,
-        min_elevation_deg=min_elevation_deg)
-    merged = merge_intervals((window.rise_s, window.set_s)
-                             for rows in per_sat for window in rows[0])
-    return total_length(merged) / span_s * 24.0
+    return presence_by_site({"": constellation}, {"": location}, epoch,
+                            days, min_elevation_deg)[""][""]
 
 
 def presence_by_site(constellations: Dict[str, Constellation],
@@ -65,15 +56,29 @@ def presence_by_site(constellations: Dict[str, Constellation],
                      epoch: Epoch, days: float = 1.0,
                      min_elevation_deg: float = 0.0,
                      ) -> Dict[str, Dict[str, float]]:
-    """Daily presence hours for every (constellation, site) pair."""
-    return {
-        con_name: {
-            site: daily_presence_hours(con, loc, epoch, days,
-                                       min_elevation_deg)
-            for site, loc in locations.items()
-        }
-        for con_name, con in constellations.items()
-    }
+    """Daily presence hours for every (constellation, site) pair.
+
+    One fleet pass search per constellation covers every site; a
+    (satellite, site) pair's windows do not depend on the other pairs
+    searched, so each value is that site's
+    :func:`daily_presence_hours`.
+    """
+    if days <= 0:
+        raise ValueError("days must be positive")
+    span_s = days * 86400.0
+    out: Dict[str, Dict[str, float]] = {}
+    for con_name, constellation in constellations.items():
+        per_sat = find_passes_fleet(
+            [satellite.propagator for satellite in constellation],
+            list(locations.values()), epoch, span_s,
+            min_elevation_deg=min_elevation_deg)
+        out[con_name] = {
+            site: total_length(merge_intervals(
+                (window.rise_s, window.set_s)
+                for rows in per_sat for window in rows[index]))
+            / span_s * 24.0
+            for index, site in enumerate(locations)}
+    return out
 
 
 @dataclass(frozen=True)

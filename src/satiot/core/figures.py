@@ -20,7 +20,7 @@ from .campaign import PassiveCampaignResult
 from .contacts import analyze_contacts, trace_distances_km, \
     window_position_fractions
 from .sites import CONTINENT_SITES, SITES
-from .availability import daily_presence_hours
+from .availability import presence_by_site
 from .stats import empirical_cdf
 
 __all__ = ["FigureSeries", "fig3a_presence_bars", "fig3b_rssi_cdfs",
@@ -62,12 +62,12 @@ def fig3a_presence_bars(result: PassiveCampaignResult,
     sites = [code for code in CONTINENT_SITES
              if code in result.site_results]
     x = np.arange(len(sites), dtype=float)
+    hours = presence_by_site(
+        result.constellations,
+        {code: SITES[code].location for code in sites}, result.epoch)
     for name, constellation in sorted(result.constellations.items()):
-        hours = [daily_presence_hours(constellation,
-                                      SITES[code].location,
-                                      result.epoch)
-                 for code in sites]
-        out.add(constellation.name, x, np.asarray(hours))
+        out.add(constellation.name, x,
+                np.asarray([hours[name][code] for code in sites]))
     return out
 
 

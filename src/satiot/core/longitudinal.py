@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..groundstation.traces import TraceColumns
 from ..runtime.executor import Shard, ShardExecutor
-from ..runtime.telemetry import CampaignTelemetry, ShardTelemetry
+from ..runtime.telemetry import CampaignTelemetry
 from .campaign import PassiveCampaign, PassiveCampaignConfig
 from .contacts import ContactWindowStats, analyze_contacts
 
@@ -62,7 +62,9 @@ class LongitudinalResult:
     archive_dir: Optional[str] = None
     #: The spilled archive's manifest (spilled runs only).
     manifest: Optional[Dict[str, Any]] = None
-    #: Runtime telemetry of the run (spilled runs only for now).
+    #: Runtime telemetry of the run: one shard per week it computed
+    #: (a resume skips checkpointed weeks; None when it finds the
+    #: archive already complete).
     telemetry: Optional[CampaignTelemetry] = None
 
     def traces_per_week(self) -> List[int]:
@@ -79,20 +81,6 @@ class LongitudinalResult:
         return max(series) - min(series)
 
 
-def _week_sample_worker(shard: Shard) -> WeeklySample:
-    """Compute one sampled week — pure function of the shard payload."""
-    week, offset, config, site, constellations = shard.payload
-    # workers=1: the week itself is the unit of parallelism here.
-    campaign = PassiveCampaign(config, workers=1).run()
-    stats = {
-        name: analyze_contacts(
-            campaign.receptions(site, name), campaign.duration_s)
-        for name in constellations}
-    return WeeklySample(week=week, start_day_offset=offset,
-                        traces=campaign.total_traces,
-                        stats_by_constellation=stats)
-
-
 def _rebase_week_block(block: TraceColumns, week: int,
                        offset_days: float) -> TraceColumns:
     """Shift a week's block into campaign-global time and pass-id space."""
@@ -102,11 +90,14 @@ def _rebase_week_block(block: TraceColumns, week: int,
             lambda value: f"w{week}/{value}"))
 
 
-def _week_spill_worker(shard: Shard,
-                       ) -> Tuple[WeeklySample, List[TraceColumns],
-                                  Dict[str, Dict[str, int]]]:
-    """One sampled week plus its (rebased) trace blocks and counters."""
-    week, offset, config, site, constellations = shard.payload
+def _week_worker(shard: Shard,
+                 ) -> Tuple[WeeklySample, List[TraceColumns],
+                            Dict[str, Dict[str, int]]]:
+    """One sampled week — a pure function of the shard payload — plus
+    its trace blocks, rebased for the archive (none unless the payload
+    says the run spills), and its sent/received counters."""
+    week, offset, config, site, constellations, spill = shard.payload
+    # workers=1: the week itself is the unit of parallelism here.
     campaign = PassiveCampaign(config, workers=1).run()
     stats = {}
     sent: Dict[str, int] = {}
@@ -121,8 +112,16 @@ def _week_spill_worker(shard: Shard,
                           traces=campaign.total_traces,
                           stats_by_constellation=stats)
     blocks = [_rebase_week_block(b, week, offset)
-              for b in campaign.dataset.blocks()]
+              for b in campaign.dataset.blocks()] if spill else []
     return sample, blocks, {"sent": sent, "received": received}
+
+
+def _week_telemetry(executor: ShardExecutor, outcomes: Sequence,
+                    t0: float) -> CampaignTelemetry:
+    """One shard per computed week, with its trace count."""
+    return CampaignTelemetry.from_outcomes(
+        executor, outcomes, time.perf_counter() - t0,
+        [{"traces": outcome.result[0].traces} for outcome in outcomes])
 
 
 class LongitudinalCampaign:
@@ -179,7 +178,8 @@ class LongitudinalCampaign:
             shards.append(Shard(
                 index=week, kind="week", key=str(week),
                 payload=(week, offset, self._week_config(week),
-                         self.site, self.constellations)))
+                         self.site, self.constellations,
+                         self.spill_dir is not None)))
         return shards
 
     def _params(self) -> Dict[str, Any]:
@@ -199,11 +199,12 @@ class LongitudinalCampaign:
     def run(self) -> LongitudinalResult:
         if self.spill_dir is not None:
             return self._run_spilled()
+        t0 = time.perf_counter()
         executor = ShardExecutor(self.workers)
-        outcomes = executor.map(_week_sample_worker, self._week_shards())
-        result = LongitudinalResult()
-        result.samples = [outcome.result for outcome in outcomes]
-        return result
+        outcomes = executor.map(_week_worker, self._week_shards())
+        return LongitudinalResult(
+            samples=[outcome.result[0] for outcome in outcomes],
+            telemetry=_week_telemetry(executor, outcomes, t0))
 
     # ------------------------------------------------------------------
     def _run_spilled(self) -> LongitudinalResult:
@@ -257,12 +258,14 @@ class LongitudinalCampaign:
                 fingerprint=fingerprint)
 
         executor = ShardExecutor(self.workers)
-        shard_telemetry: List[ShardTelemetry] = []
-        for outcome in executor.imap(_week_spill_worker,
+        outcomes = []
+        for outcome in executor.imap(_week_worker,
                                      self._week_shards(start_week)):
             sample, blocks, counters = outcome.result
             for block in blocks:
                 writer.write(block)
+            blocks.clear()  # written: the kept outcome must not pin them
+            outcomes.append(outcome)
             for key, value in counters["sent"].items():
                 sent[key] = sent.get(key, 0) + value
             for key, value in counters["received"].items():
@@ -276,9 +279,6 @@ class LongitudinalCampaign:
                 "received": received,
                 "writer": writer.snapshot_state(),
             })
-            shard_telemetry.append(ShardTelemetry(
-                label=f"week:{sample.week}", wall_s=outcome.wall_s,
-                traces=sample.traces, worker=outcome.worker))
 
         manifest = writer.finalize(meta={
             "engine": "longitudinal",
@@ -291,12 +291,9 @@ class LongitudinalCampaign:
         })
         clear_checkpoint(root)
 
-        telemetry = CampaignTelemetry(
-            workers=executor.workers, mode=executor.mode,
-            wall_s=time.perf_counter() - t0, shards=shard_telemetry,
-            retries=executor.retries, fallbacks=executor.fallbacks,
-            spilled_shards=writer.shards_written,
-            spilled_bytes=writer.bytes_spilled)
+        telemetry = _week_telemetry(executor, outcomes, t0)
+        telemetry.spilled_shards = writer.shards_written
+        telemetry.spilled_bytes = writer.bytes_spilled
         return LongitudinalResult(samples=samples,
                                   archive_dir=str(root),
                                   manifest=manifest,

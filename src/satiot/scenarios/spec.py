@@ -186,16 +186,16 @@ def _check_mapping(value: Any, path: str) -> Dict[str, Any]:
     return value
 
 
-def _validate_section(document: Dict[str, Any], section: str) -> None:
-    """Type/range-check one section in place, filling defaults."""
-    schema = _SECTION_SCHEMAS[section]
-    raw = _check_mapping(document.get(section) or {}, section)
+def _validate_fields(raw: Dict[str, Any], schema: Dict[str, _Field],
+                     prefix: str) -> Dict[str, Any]:
+    """Type/range-check the mapping ``raw`` against ``schema``; returns
+    it with defaults filled.  Error paths read ``{prefix}.{key}``."""
     for key in raw:
-        _require(key in schema, f"{section}.{key}",
+        _require(key in schema, f"{prefix}.{key}",
                  f"unknown key; expected one of {sorted(schema)}")
     out: Dict[str, Any] = {}
     for key, spec in schema.items():
-        path = f"{section}.{key}"
+        path = f"{prefix}.{key}"
         if key not in raw:
             _require(not spec.required, path,
                      "required key is missing")
@@ -220,7 +220,14 @@ def _validate_section(document: Dict[str, Any], section: str) -> None:
             _require(value > 0, path,
                      f"must be positive, got {value!r}")
         out[key] = value
-    document[section] = out
+    return out
+
+
+def _validate_section(document: Dict[str, Any], section: str) -> None:
+    """Type/range-check one section in place, filling defaults."""
+    document[section] = _validate_fields(
+        _check_mapping(document.get(section) or {}, section),
+        _SECTION_SCHEMAS[section], section)
 
 
 _CONSTELLATION_MODES = ("names", "name", "walker", "catalog")
@@ -304,41 +311,9 @@ def _validate_constellation(document: Dict[str, Any], kind: str) -> None:
             cleaned[key] = float(value)
         raw["overrides"] = cleaned
     elif mode == "walker":
-        walker = _check_mapping(raw["walker"], "constellation.walker")
-        for key in walker:
-            _require(key in _WALKER_SCHEMA,
-                     f"constellation.walker.{key}",
-                     f"unknown key; expected one of "
-                     f"{sorted(_WALKER_SCHEMA)}")
-        out = {}
-        for key, spec in _WALKER_SCHEMA.items():
-            path = f"constellation.walker.{key}"
-            if key not in walker:
-                _require(not spec.required, path,
-                         "required key is missing")
-                out[key] = spec.default
-                continue
-            value = walker[key]
-            if value is None and spec.default is None \
-                    and not spec.required:
-                out[key] = None  # optional key, explicit null
-                continue
-            if spec.types == (str,):
-                _require(isinstance(value, str), path,
-                         f"expected a string, got {value!r}")
-            elif spec.types == (int,):
-                _require(isinstance(value, int)
-                         and not isinstance(value, bool), path,
-                         f"expected an integer, got {value!r}")
-            else:
-                _require(_is_number(value), path,
-                         f"expected a number, got {value!r}")
-                value = float(value)
-            if spec.positive and spec.types != (str,):
-                _require(value > 0, path,
-                         f"must be positive, got {value!r}")
-            out[key] = value
-        raw["walker"] = out
+        raw["walker"] = _validate_fields(
+            _check_mapping(raw["walker"], "constellation.walker"),
+            _WALKER_SCHEMA, "constellation.walker")
     else:  # catalog
         _require(isinstance(raw["catalog"], str),
                  "constellation.catalog",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional, Tuple
 
 
 __all__ = ["ResultCache", "quantize_coord"]

@@ -28,19 +28,23 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import os
 import signal
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .batcher import MicroBatcher, QueueFullError
 from .cache import ResultCache
+from ..constellations.catalog import CONSTELLATION_SPECS, Constellation
+from ..econ.providers import get_provider
 from ..faults import fault_fires, get_default_plane
 from .http import (HTTPError, HTTPRequest, encode_json, json_response,
                    read_request, text_response)
+from ..runtime.ephemeris_cache import EphemerisCache
 from ..runtime.telemetry import render_fixed_table
 from ..twin.clock import SimClock
 from .metrics import ServingMetrics, merge_snapshots
@@ -48,7 +52,7 @@ from .service import (CompareRequest, ConstellationService,
                       LinkBudgetRequest, PassesRequest, PresenceRequest,
                       DEFAULT_CONSTELLATION)
 
-__all__ = ["ServingConfig", "ServingServer"]
+__all__ = ["ServingConfig", "ServingServer", "build_service"]
 
 
 @dataclass
@@ -91,16 +95,49 @@ class ServingConfig:
     providers: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        # Checked here, before a fleet supervisor forks workers that
-        # would each fail building their batchers and result cache.
+        # Every check that would otherwise fail only while a server (or
+        # each forked fleet worker) builds its service, batchers, result
+        # cache or clock: a bad config is one ValueError up front.
         for name, low in (("window_s", 0), ("max_batch", 1),
                           ("max_pending", 1), ("cache_entries", 1)):
             if not getattr(self, name) >= low:
                 raise ValueError(
                     f"{name} must be >= {low}, got {getattr(self, name)!r}")
-        if not self.cache_ttl_s > 0:
-            raise ValueError(
-                f"cache_ttl_s must be > 0, got {self.cache_ttl_s!r}")
+        for name in ("cache_ttl_s", "coarse_step_s", "rate",
+                     "clock_quantum_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate!r}")
+        for name in self.constellations:
+            if name.lower() not in CONSTELLATION_SPECS:
+                raise ValueError(
+                    f"unknown constellation {name!r}; choose from "
+                    f"{sorted(CONSTELLATION_SPECS)}")
+        if self.providers is not None:
+            if not self.providers:
+                raise ValueError(
+                    "providers is empty; None selects every provider")
+            for name in self.providers:
+                get_provider(name)
+
+
+def build_service(config: ServingConfig,
+                  extra: Sequence[Constellation] = (),
+                  ephemeris: Optional[EphemerisCache] = None,
+                  ) -> ConstellationService:
+    """The one recipe for a server's :class:`ConstellationService`.
+
+    A lone server and every fleet worker build their service here:
+    ``config``'s constellations, providers and pass-search step, plus
+    the pre-built ``extra`` constellations (catalog selections), over
+    ``ephemeris`` (None: a private in-memory cache).
+    """
+    return ConstellationService(
+        constellations=config.constellations, ephemeris=ephemeris,
+        coarse_step_s=config.coarse_step_s, extra=extra,
+        providers=config.providers)
 
 
 _ENDPOINTS = {
@@ -128,10 +165,7 @@ class ServingServer:
                  worker_id: Optional[int] = None) -> None:
         self.config = config or ServingConfig()
         self.worker_id = worker_id
-        self.service = service or ConstellationService(
-            constellations=self.config.constellations,
-            coarse_step_s=self.config.coarse_step_s,
-            providers=self.config.providers)
+        self.service = service or build_service(self.config)
         self.clock: Optional[SimClock] = None
         if self.config.realtime:
             self.clock = SimClock(rate=self.config.rate,

@@ -375,20 +375,13 @@ class ConstellationService:
                  ephemeris: Optional[EphemerisCache] = None,
                  coarse_step_s: float = 30.0,
                  refine: str = "interp",
-                 refine_tol_s: float = 0.5,
-                 epochyr: int = 24, epochdays: float = 245.0,
-                 seed: int = 7,
                  extra: Sequence[Constellation] = (),
                  providers: Optional[Sequence[str]] = None) -> None:
         if coarse_step_s <= 0:
             raise ValueError("coarse_step_s must be positive")
         self.coarse_step_s = float(coarse_step_s)
         self.refine = refine
-        self.refine_tol_s = float(refine_tol_s)
         self.ephemeris = ephemeris or EphemerisCache()
-        self._epochyr = int(epochyr)
-        self._epochdays = float(epochdays)
-        self._seed = int(seed)
         self._constellations: Dict[str, Constellation] = {}
         self._epochs: Dict[str, Epoch] = {}
         # Providers the /v1/compare endpoint may select (None = every
@@ -403,8 +396,7 @@ class ConstellationService:
         self._provider_consts: Dict[str,
                                     Tuple[Constellation, Epoch]] = {}
         for name in constellations:
-            const = build_constellation(name, epochyr=epochyr,
-                                        epochdays=epochdays, seed=seed)
+            const = build_constellation(name)
             key = const.name.lower()
             self._constellations[key] = const
             self._epochs[key] = const.satellites[0].tle.epoch
@@ -465,10 +457,8 @@ class ConstellationService:
         if key in self._constellations:
             built = (self._constellations[key], self._epochs[key])
         else:
-            const = build_constellation(
-                prov.constellation.name, epochyr=self._epochyr,
-                epochdays=self._epochdays, seed=self._seed,
-                spec=prov.constellation)
+            const = build_constellation(prov.constellation.name,
+                                        spec=prov.constellation)
             built = (const, const.satellites[0].tle.epoch)
         self._provider_consts[name] = built
         return built
@@ -511,8 +501,7 @@ class ConstellationService:
         per_sat = self.ephemeris.find_passes_fleet(
             [sat.propagator for sat in const], observers, epoch,
             horizon_s, coarse_step_s=self.coarse_step_s,
-            min_elevation_deg=min_elevation_deg,
-            refine_tol_s=self.refine_tol_s, refine=self.refine)
+            min_elevation_deg=min_elevation_deg, refine=self.refine)
         for rows in per_sat:
             for windows, acc in zip(rows, per_observer):
                 acc.extend(windows)

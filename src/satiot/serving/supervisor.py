@@ -72,10 +72,12 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from ..constellations.catalog import Constellation
+from ..runtime.ephemeris_cache import EphemerisCache
 from .metrics import merge_snapshots
-from .server import ServingConfig, ServingServer
+from .server import ServingConfig, ServingServer, build_service
 
 __all__ = ["FleetConfig", "ServingFleet", "REUSEPORT_ENV",
            "WORKERS_ENV", "default_workers", "fork_available",
@@ -142,10 +144,6 @@ class FleetConfig:
     #: Shared ephemeris disk tier.  None → a private temp directory,
     #: removed on :meth:`ServingFleet.stop`.
     ephemeris_dir: Optional[str] = None
-    #: Catalog service recipe (mirrors ``satiot serve --catalog``).
-    catalog: Optional[str] = None
-    select: Optional[Tuple[str, ...]] = None
-    catalog_name: str = "catalog"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -183,27 +181,8 @@ class _WorkerSlot:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _build_worker_service(config: ServingConfig, fleet: FleetConfig,
-                          ephemeris_dir: str):
-    """Build one worker's service over the *shared* mmap'd disk tier."""
-    from ..runtime.ephemeris_cache import EphemerisCache
-    from .service import ConstellationService
-
-    ephemeris = EphemerisCache(disk_dir=ephemeris_dir)
-    extra = []
-    if fleet.catalog:
-        from ..catalog import constellation_from_catalog
-        extra.append(constellation_from_catalog(
-            fleet.catalog, list(fleet.select) if fleet.select else None,
-            name=fleet.catalog_name))
-    return ConstellationService(
-        constellations=config.constellations,
-        ephemeris=ephemeris, coarse_step_s=config.coarse_step_s,
-        extra=extra, providers=config.providers)
-
-
 def _worker_main(worker_id: int, config: ServingConfig,
-                 fleet: FleetConfig, ephemeris_dir: str,
+                 extra: Sequence[Constellation], ephemeris_dir: str,
                  host: str, port: int, reuseport: bool,
                  control: socket.socket,
                  conn: Optional[socket.socket]) -> None:
@@ -218,7 +197,7 @@ def _worker_main(worker_id: int, config: ServingConfig,
     reset_default_cache()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        asyncio.run(_worker_async(worker_id, config, fleet,
+        asyncio.run(_worker_async(worker_id, config, extra,
                                   ephemeris_dir, host, port, reuseport,
                                   control, conn))
     except KeyboardInterrupt:  # pragma: no cover - signal race
@@ -226,12 +205,15 @@ def _worker_main(worker_id: int, config: ServingConfig,
 
 
 async def _worker_async(worker_id: int, config: ServingConfig,
-                        fleet: FleetConfig, ephemeris_dir: str,
+                        extra: Sequence[Constellation],
+                        ephemeris_dir: str,
                         host: str, port: int, reuseport: bool,
                         control: socket.socket,
                         conn: Optional[socket.socket]) -> None:
     loop = asyncio.get_running_loop()
-    service = _build_worker_service(config, fleet, ephemeris_dir)
+    # Over the *shared* mmap'd disk tier: one resident grid per machine.
+    service = build_service(config, extra,
+                            EphemerisCache(disk_dir=ephemeris_dir))
     server = ServingServer(config, service=service, worker_id=worker_id)
     started = time.monotonic()
 
@@ -343,12 +325,23 @@ async def _worker_async(worker_id: int, config: ServingConfig,
 # Supervisor
 # ----------------------------------------------------------------------
 class ServingFleet:
-    """Spawns, routes to, observes and restarts N serving workers."""
+    """Spawns, routes to, observes and restarts N serving workers.
+
+    ``extra`` are pre-built constellations (catalog selections) served
+    alongside ``config.constellations``; forked workers inherit them,
+    so neither a start nor a restart reads the catalog again.
+    """
 
     def __init__(self, config: Optional[ServingConfig] = None,
-                 fleet: Optional[FleetConfig] = None) -> None:
+                 fleet: Optional[FleetConfig] = None,
+                 extra: Sequence[Constellation] = ()) -> None:
         self.config = config or ServingConfig()
         self.fleet = fleet or FleetConfig()
+        self.extra = tuple(extra)
+        # Built once here and dropped: a service the workers could not
+        # build (no constellations, a duplicate name) fails before any
+        # fork instead of crash-looping every worker.
+        build_service(self.config, self.extra)
         if not fork_available():
             raise RuntimeError(
                 "serving fleet requires the 'fork' start method "
@@ -524,7 +517,7 @@ class ServingFleet:
                 socket.AF_UNIX, socket.SOCK_DGRAM)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, self.config, self.fleet, self.ephemeris_dir,
+            args=(index, self.config, self.extra, self.ephemeris_dir,
                   self.config.host, self._port, self.reuseport,
                   control_child, conn_child),
             name=f"satiot-serve-{index}", daemon=True)

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from satiot.constellations.catalog import build_constellation
-from satiot.core.availability import (daily_presence_hours, rssi_stats,
+from satiot.core.availability import (daily_presence_hours,
+                                      presence_by_site, rssi_stats,
                                       rssi_vs_distance)
 from satiot.core.sites import SITES
 
@@ -46,6 +47,23 @@ class TestDailyPresence:
         with pytest.raises(ValueError):
             daily_presence_hours(tianqi, SITES["HK"].location, epoch,
                                  days=0.0)
+
+
+    def test_by_site_matches_one_site_searches(self, tianqi):
+        """Every site in one fleet search per constellation gives each
+        site's own answer, bit for bit."""
+        constellations = {"tianqi": tianqi,
+                          "fossa": build_constellation("fossa")}
+        locations = {code: site.location for code, site in SITES.items()}
+        epoch = tianqi.satellites[0].tle.epoch
+        table = presence_by_site(constellations, locations, epoch,
+                                 days=0.5, min_elevation_deg=5.0)
+        assert table == {
+            name: {code: daily_presence_hours(
+                con, location, epoch, days=0.5, min_elevation_deg=5.0)
+                for code, location in locations.items()}
+            for name, con in constellations.items()}
+        assert all(hours > 0 for hours in table["tianqi"].values())
 
 
 class TestRssiStats:

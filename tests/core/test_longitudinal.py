@@ -38,6 +38,15 @@ class TestLongitudinalCampaign:
         assert all(0.6 < s < 1.0 for s in series)
         assert longitudinal.shrinkage_stability("tianqi") < 0.25
 
+    def test_telemetry_one_shard_per_week(self, longitudinal):
+        telemetry = longitudinal.telemetry
+        assert [s.label for s in telemetry.shards] == \
+            ["week:0", "week:1", "week:2"]
+        assert [s.traces for s in telemetry.shards] == \
+            longitudinal.traces_per_week()
+        assert telemetry.spilled_shards == 0
+        assert "spilled" not in telemetry.render()
+
     def test_weeks_differ_in_geometry(self, longitudinal):
         # Different epochs and seeds: the samples are not clones.
         traces = longitudinal.traces_per_week()

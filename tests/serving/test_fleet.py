@@ -21,7 +21,9 @@ These tests fork real processes; they keep fleets small (2 workers,
 
 from __future__ import annotations
 
+import asyncio
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -29,9 +31,11 @@ import time
 
 import pytest
 
+from satiot.constellations.catalog import build_constellation
 from satiot.serving import (FleetConfig, ServingConfig, ServingFleet,
-                            default_workers, fork_available,
-                            reuseport_available)
+                            ServingServer, default_workers,
+                            fork_available, reuseport_available)
+from satiot.serving.server import build_service
 from satiot.serving.supervisor import REUSEPORT_ENV, WORKERS_ENV
 
 from tests.serving.test_server import request, run, with_server
@@ -266,3 +270,69 @@ class TestFleetMetrics:
         assert info["workers"] == 2
         assert info["mode"] == "fallback"
         assert info["port"] == fleet.bound_port
+
+
+# ----------------------------------------------------------------------
+class TestServiceRecipe:
+    """Workers build their service the way a lone server does, from
+    the supervisor's validated config and loaded constellations."""
+
+    @pytest.mark.parametrize("constellations, extra, match", [
+        (("bogus",), (), "unknown constellation"),
+        ((), (), "no constellations"),
+        (("pico",), ("pico",), "already loaded")])
+    def test_bad_config_refused_before_forking(self, constellations,
+                                               extra, match):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match=match):
+            with ServingFleet(
+                    fast_config(constellations=constellations),
+                    FleetConfig(workers=2, max_restarts=0),
+                    extra=[build_constellation(n) for n in extra],
+            ) as fleet:
+                fleet.wait_ready(timeout=5.0)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_catalog_fleet_matches_lone_server(self, tmp_path):
+        """Workers inherit the loaded catalog constellation (its file
+        is gone before the fork) and answer byte-identically to a lone
+        server built from the same recipe."""
+        from satiot.catalog import constellation_from_catalog
+        from satiot.catalog.ingest import write_catalog
+        from satiot.catalog.synth import (MegaConstellationSpec,
+                                          synthesize_mega_constellation)
+        from satiot.constellations.shells import ShellSpec
+
+        spec = MegaConstellationSpec(
+            name="MINI",
+            shells=(ShellSpec("S1", count=12, altitude_min_km=540.0,
+                              altitude_max_km=560.0,
+                              inclination_deg=53.0, planes=4),),
+            norad_base=63000)
+        path = tmp_path / "mini.3le"
+        write_catalog(synthesize_mega_constellation(spec, seed=9), path)
+        catalog = constellation_from_catalog(str(path), name="minicat")
+        path.unlink()
+        paths = [p.replace("constellation=pico", "constellation=minicat")
+                 .replace("horizon_s=3600", "horizon_s=21600")
+                 for p in PROBE_PATHS]
+        config = fast_config()
+
+        async def lone_server():
+            server = ServingServer(config, build_service(config,
+                                                         [catalog]))
+            await server.start()
+            try:
+                return [await asyncio.to_thread(fetch, server.bound_port,
+                                                path) for path in paths]
+            finally:
+                await server.close()
+
+        reference = run(lone_server())
+        with ServingFleet(config, FleetConfig(workers=2),
+                          extra=[catalog]) as fleet:
+            fleet.wait_ready()
+            answers = [fetch(fleet.bound_port, path) for path in paths]
+        assert answers == reference
+        assert all(status == 200 for status, _ in answers)
+        assert any(json.loads(body)["count"] for _, body in answers)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -73,6 +75,15 @@ async def with_server(config: ServingConfig, scenario):
         return await scenario(server)
     finally:
         await server.close()
+
+
+def cli_env() -> dict:
+    """Environment for ``python -m satiot`` subprocesses: this
+    checkout's sources, unbuffered stdout (the banner is read live)."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def fast_config(**overrides) -> ServingConfig:
@@ -262,38 +273,91 @@ class TestBatching:
 
 # ----------------------------------------------------------------------
 class TestConfigRange:
-    """Out-of-range serving values are refused by the configuration,
-    before any server is built or any fleet worker forked."""
+    """Out-of-range serving values and unknown names are refused by the
+    configuration, before any server is built or any fleet worker
+    forked."""
 
     @pytest.mark.parametrize("field, value", [
         ("window_s", -0.005), ("max_batch", 0), ("max_pending", 0),
         ("cache_ttl_s", -1.0), ("cache_ttl_s", 0.0),
-        ("cache_entries", 0), ("window_s", float("nan"))])
+        ("cache_entries", 0), ("window_s", float("nan")),
+        ("rate", 0.0), ("rate", -2.0), ("rate", float("inf")),
+        ("rate", float("nan")), ("clock_quantum_s", 0.0),
+        ("coarse_step_s", 0.0), ("providers", ())])
     def test_config_refuses(self, field, value):
         with pytest.raises(ValueError, match=field):
             ServingConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, name", [
+        ("constellations", "bogus"), ("providers", "nope")])
+    def test_config_refuses_unknown_names(self, field, name):
+        with pytest.raises(ValueError, match=f"unknown .*'{name}'"):
+            ServingConfig(**{field: ("tianqi" if field == "providers"
+                                     else "pico", name)})
+
     @pytest.mark.parametrize("flags", [
         ["--max-batch", "0"], ["--max-pending", "0"],
-        ["--batch-window-ms", "-5"], ["--cache-ttl", "-1"]])
+        ["--batch-window-ms", "-5"], ["--cache-ttl", "-1"],
+        ["--constellations", "bogus"], ["--providers", "nope"],
+        ["--providers", ""], ["--rate", "0"],
+        ["--realtime", "--rate", "inf"], ["--step", "0"],
+        ["--workers", "2", "--step", "0"], ["--select", "group:A"],
+        ["--constellations", ""]])
     def test_cli_refuses(self, flags):
         with pytest.raises(SystemExit) as info:
             main(["serve", "--port", "0", *flags])
         assert str(info.value.code).startswith("error: ")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cli_refuses_catalog_named_like_a_builtin(self, tmp_path,
+                                                      workers):
+        from satiot.catalog.ingest import write_catalog
+        from satiot.constellations.catalog import build_constellation
+        path = tmp_path / "fossa.3le"
+        write_catalog([s.tle for s in build_constellation("fossa")], path)
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", "--workers", workers,
+                  "--catalog", str(path), "--catalog-name", "tianqi"])
+        assert str(info.value.code).startswith("error: ")
+        assert "already loaded" in str(info.value.code)
+
     def test_fleet_cli_refuses_before_forking(self):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         start = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "satiot", "serve", "--port", "0",
              "--workers", "2", "--max-batch", "0"],
-            capture_output=True, text=True, env=env, timeout=25)
+            capture_output=True, text=True, env=cli_env(), timeout=25)
         assert time.monotonic() - start < 20.0
         assert proc.returncode != 0
         assert proc.stderr.startswith("error: max_batch")
         assert "Traceback" not in proc.stderr
+
+
+# ----------------------------------------------------------------------
+class TestServeCacheDir:
+    def test_one_worker_writes_segments(self, tmp_path):
+        """``--cache-dir`` holds the lone server's ephemeris disk tier
+        too, not only a fleet's."""
+        cache_dir = tmp_path / "ephemeris"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "satiot", "serve", "--port", "0",
+             "--workers", "1", "--constellations", "pico",
+             "--step", "120", "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=cli_env())
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"satiot serving on http://[\d.]+:(\d+)",
+                              banner)
+            assert match, banner
+            status, _, payload = run(request(
+                int(match.group(1)), "/v1/passes?constellation=pico"
+                "&lat=22.3&lon=114.2&horizon_s=3600"))
+            assert status == 200 and payload["constellation"] == "PICO"
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=30)
+        assert sorted(cache_dir.glob("cgrid-*.r.npy"))
 
 
 # ----------------------------------------------------------------------
