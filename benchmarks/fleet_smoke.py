@@ -8,8 +8,11 @@ covers that).  A deterministic request burst is replayed against
 * ``--workers 1``  (the plain single-process server), then
 * ``--workers 2``  (a supervised fleet),
 
-and every response body must match byte for byte.  Exit status is the
-verdict, so CI can run this file directly:
+and every response body must match byte for byte.  Two more probes sit
+in the first probe's 0.01-degree cell (the default ``cache_decimals``):
+a query is answered at its rounded site, so at both worker counts their
+bodies must equal that probe's, whichever worker serves them.  Exit
+status is the verdict, so CI can run this file directly:
 
     PYTHONPATH=src python benchmarks/fleet_smoke.py
 """
@@ -25,11 +28,17 @@ import time
 
 BANNER = re.compile(r"satiot serving on http://[\d.]+:(\d+)")
 
-PATHS = tuple(
-    f"/v1/passes?constellation=pico&lat={lat:.6f}&lon={lon:.6f}"
-    f"&horizon_s=3600&min_elevation_deg=10"
-    for lat, lon in ((22.3, 114.2), (-33.9, 18.4), (64.1, -21.9),
-                     (1.35, 103.8), (48.85, 2.35), (-12.05, -77.05)))
+
+def passes_path(lat: float, lon: float) -> str:
+    return (f"/v1/passes?constellation=pico&lat={lat:.6f}&lon={lon:.6f}"
+            f"&horizon_s=3600&min_elevation_deg=10")
+
+
+PATHS = tuple(passes_path(lat, lon) for lat, lon in (
+    (22.3, 114.2), (-33.9, 18.4), (64.1, -21.9), (1.35, 103.8),
+    (48.85, 2.35), (-12.05, -77.05)))
+#: Other points of ``PATHS[0]``'s cell.
+SAME_CELL = tuple(passes_path(lat, 114.2) for lat in (22.3012, 22.3044))
 
 
 def start_server(workers: int, cache_dir: str):
@@ -82,7 +91,7 @@ def fetch(port: int, path: str, retries: int = 100) -> bytes:
 def burst(workers: int, cache_dir: str):
     proc, port = start_server(workers, cache_dir)
     try:
-        return [fetch(port, path) for path in PATHS]
+        return [fetch(port, path) for path in PATHS + SAME_CELL]
     finally:
         proc.send_signal(signal.SIGINT)
         try:
@@ -105,8 +114,19 @@ def main() -> int:
         for path in mismatches:
             print(f"  {path}")
         return 1
+    off_cell = [f"{path} (--workers {workers})"
+                for workers, bodies in ((1, single), (2, fleet))
+                for path, body in zip(SAME_CELL, bodies[len(PATHS):])
+                if body != bodies[0]]
+    if off_cell:
+        print(f"FAIL: {len(off_cell)} same-cell payloads differ from "
+              f"their cell's first probe:")
+        for line in off_cell:
+            print(f"  {line}")
+        return 1
     print(f"OK: {len(PATHS)}/{len(PATHS)} payloads byte-identical "
-          f"across --workers 1 and --workers 2")
+          f"across --workers 1 and --workers 2, and {len(SAME_CELL)} "
+          f"same-cell probes equal their cell's at both")
     return 0
 
 

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..orbits.sgp4 import SGP4
 from ..orbits.tle import TLE
+from ..phy.lora import LoRaModulation
 from .footprint import footprint_area_km2
 from .shells import ShellSpec, generate_shell_tles
 
@@ -57,6 +58,19 @@ class DtSRadioProfile:
             raise ValueError("coding rate denominator must be in 5..8")
         if self.beacon_period_s <= 0:
             raise ValueError("beacon period must be positive")
+
+    def modulation(self, spreading_factor: Optional[int] = None,
+                   ) -> LoRaModulation:
+        """This radio's LoRa modulation, at ``spreading_factor``
+        (None: the profile's own)."""
+        return LoRaModulation(
+            spreading_factor=self.spreading_factor
+            if spreading_factor is None else spreading_factor,
+            bandwidth_hz=self.bandwidth_hz,
+            coding_rate=self.coding_rate,
+            preamble_symbols=self.preamble_symbols,
+            explicit_header=self.explicit_header,
+            low_data_rate_optimize=self.low_data_rate_optimize)
 
 
 @dataclass(frozen=True)

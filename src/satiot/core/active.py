@@ -35,7 +35,6 @@ from ..phy.antennas import ANTENNAS_BY_NAME, Antenna
 from ..phy.channel import ChannelParams, DtSChannel
 from ..phy.error_model import reception_probability
 from ..phy.link_budget import LinkBudget
-from ..phy.lora import LoRaModulation
 from ..sim.rng import RngStreams
 from ..sim.weather import WeatherParams, WeatherProcess
 from .stats import merge_intervals, total_length
@@ -260,10 +259,7 @@ class ActiveCampaign:
         """
         cfg = self.config
         radio = constellation.radio
-        modulation = LoRaModulation(
-            spreading_factor=radio.spreading_factor,
-            bandwidth_hz=radio.bandwidth_hz,
-            coding_rate=radio.coding_rate)
+        modulation = radio.modulation()
         # The sampled beacon SNR embeds the node's receiver deficit; the
         # channel itself (reciprocal within the coherence time) is that
         # much better, and the uplink then gets the configured net

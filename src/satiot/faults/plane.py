@@ -7,7 +7,7 @@ uplinks.  This module gives the system layers the same treatment: a
 production code consults at the seams it already owns (disk-cache
 reads/writes, shard worker execution, serving connection handling,
 micro-batch flushes).  When a consult "fires", the seam injects a
-realistic failure — a corrupted ``.npz`` entry, a raised worker
+realistic failure — a corrupted ``.npy`` segment, a raised worker
 exception, a ``SIGKILL``-ed pool worker, a dropped client connection —
 and the seam's *hardening* (checksums + quarantine, retry + serial
 fallback, batch re-dispatch) must absorb it.
@@ -63,7 +63,7 @@ FAULTS_ENV = "SATIOT_FAULTS"
 #: Injection-site catalog: every seam production code consults.
 SITES: Dict[str, str] = {
     "cache.disk_read":
-        "corrupt the on-disk .npz entry before the cache reads it "
+        "corrupt the on-disk .npy grid segment before the cache reads it "
         "(detected by checksum, quarantined as *.bad, treated as a miss)",
     "cache.disk_write":
         "fail the disk-cache write with an OSError "

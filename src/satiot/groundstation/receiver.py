@@ -20,7 +20,6 @@ from ..network.beacon import BeaconTrain, build_beacon_trains
 from ..orbits.timebase import Epoch
 from ..phy.channel import ChannelParams, DtSChannel
 from ..phy.link_budget import LinkBudget
-from ..phy.lora import LoRaModulation
 from ..sim.weather import WeatherProcess
 from .scheduler import ScheduledPass
 from .traces import TraceColumns, TraceDataset
@@ -77,14 +76,7 @@ class BeaconReceiver:
             eirp_dbm=radio.beacon_eirp_dbm,
             frequency_hz=radio.frequency_hz,
             **self.link_overrides)
-        modulation = LoRaModulation(
-            spreading_factor=radio.spreading_factor,
-            bandwidth_hz=radio.bandwidth_hz,
-            coding_rate=radio.coding_rate,
-            preamble_symbols=radio.preamble_symbols,
-            explicit_header=radio.explicit_header,
-            low_data_rate_optimize=radio.low_data_rate_optimize)
-        return DtSChannel(budget, modulation, self.channel_params)
+        return DtSChannel(budget, radio.modulation(), self.channel_params)
 
     # ------------------------------------------------------------------
     def receive_pass(self, scheduled: ScheduledPass, epoch: Epoch,

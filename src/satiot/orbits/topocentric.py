@@ -9,9 +9,9 @@ provides the **multi-observer batch path** used by ``satiot.serving``:
 the TEME→ECEF conversion (the expensive, observer-*independent* half of
 the pipeline) is computed once via :func:`ecef_states`, and the cheap
 observer-dependent SEZ projection is applied per observer
-(:func:`look_angles_from_ecef`, :func:`elevation_from_ecef`,
-:func:`batch_look_angles`, :func:`batch_elevations`), or per state
-from stacked sites and rotations (the pass search, the beacon trains).
+(:func:`look_angles_from_ecef`, :func:`elevation_from_ecef`), or per
+state from stacked sites and rotations (the pass search, the beacon
+trains).
 
 Bit-identity contract
 ---------------------
@@ -27,7 +27,7 @@ micro-batcher relies on, verified by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .frames import GeodeticPoint, ecef_velocity_from_teme, teme_to_ecef
 
 __all__ = [
     "LookAngles",
-    "batch_elevations",
-    "batch_look_angles",
     "ecef_states",
     "elevation_from_ecef",
     "look_angles",
@@ -171,37 +169,3 @@ def look_angles(observer: GeodeticPoint,
     """
     r_ecef, v_ecef = ecef_states(r_teme, v_teme, jd_ut1)
     return look_angles_from_ecef(observer, r_ecef, v_ecef)
-
-
-def batch_look_angles(observers: Sequence[GeodeticPoint],
-                      r_teme: np.ndarray,
-                      v_teme: np.ndarray,
-                      jd_ut1: ArrayLike) -> LookAngles:
-    """Look angles of shared TEME states from M observers at once.
-
-    Returns a :class:`LookAngles` whose fields are arrays of shape
-    ``(M,) + state_shape`` — row ``m`` is bit-identical to
-    ``look_angles(observers[m], r_teme, v_teme, jd_ut1)``.  The frame
-    conversion (the dominant cost) is evaluated once and shared.
-    """
-    r_ecef, v_ecef = ecef_states(r_teme, v_teme, jd_ut1)
-    rows = [look_angles_from_ecef(obs, r_ecef, v_ecef)
-            for obs in observers]
-    return LookAngles(
-        azimuth_deg=np.stack([np.asarray(r.azimuth_deg) for r in rows]),
-        elevation_deg=np.stack([np.asarray(r.elevation_deg)
-                                for r in rows]),
-        range_km=np.stack([np.asarray(r.range_km) for r in rows]),
-        range_rate_km_s=np.stack([np.asarray(r.range_rate_km_s)
-                                  for r in rows]))
-
-
-def batch_elevations(observers: Sequence[GeodeticPoint],
-                     r_ecef: np.ndarray) -> np.ndarray:
-    """Elevation matrix ``(M, N)`` of shared ECEF states from M observers.
-
-    Row ``m`` is bit-identical to
-    ``elevation_from_ecef(observers[m], r_ecef)``.
-    """
-    return np.stack([np.asarray(elevation_from_ecef(obs, r_ecef))
-                     for obs in observers])

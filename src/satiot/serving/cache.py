@@ -3,10 +3,12 @@
 Fleet queries exhibit strong geographic locality: thousands of deployed
 nodes share a handful of deployment regions, and a pass prediction for
 (47.37°N, 8.54°E) is equally valid a few hundred metres away.  The
-serving layer therefore quantizes request coordinates (default 0.01°,
-~1.1 km) and caches the *encoded response body* under the quantized
-key: the JSON bytes are a few times smaller than the payload objects
-they encode, and a hit sends them without encoding again.
+serving layer therefore rounds request coordinates when it parses them
+(``quantize_coord``, default 0.01°, ~1.1 km), answers at the rounded
+site, and caches the *encoded response body* under the parsed request:
+every query of one cell gets the same bytes, whichever came first.  The
+JSON bytes are a few times smaller than the payload objects they
+encode, and a hit sends them without encoding again.
 
 Entries expire after ``ttl_s`` (ephemerides age; default 60 s) and the
 cache is LRU-bounded at ``max_entries``.  Expired entries are evicted
@@ -25,8 +27,11 @@ __all__ = ["ResultCache", "quantize_coord"]
 
 
 def quantize_coord(value: float, decimals: int = 2) -> float:
-    """Round a coordinate for cache-key purposes (default ~1.1 km)."""
-    return round(float(value), decimals)
+    """Round a coordinate to ``decimals`` places (default ~1.1 km).
+
+    -0.0 comes back as 0.0: the two are one cell, so one echoed text.
+    """
+    return round(float(value), decimals) or 0.0
 
 
 class ResultCache:

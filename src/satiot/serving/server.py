@@ -3,7 +3,7 @@
 Request lifecycle::
 
     read → route → validate (event loop, cheap)
-         → result-cache probe (quantized key)
+         → result-cache probe (the parsed request is the key)
          → micro-batcher submit  ── full? → 429 + Retry-After
          → [batch flushed → worker thread → NumPy/SGP4]
          → encode once, populate cache, respond, record metrics
@@ -50,7 +50,7 @@ from ..twin.clock import SimClock
 from .metrics import ServingMetrics, merge_snapshots
 from .service import (CompareRequest, ConstellationService,
                       LinkBudgetRequest, PassesRequest, PresenceRequest,
-                      DEFAULT_CONSTELLATION)
+                      DEFAULT_CONSTELLATION, DEFAULT_DECIMALS)
 
 __all__ = ["ServingConfig", "ServingServer", "build_service"]
 
@@ -73,8 +73,9 @@ class ServingConfig:
     retry_after_s: float = 0.5
     cache_ttl_s: float = 60.0
     cache_entries: int = 4096
-    #: coordinate quantization (decimal places) for result-cache keys
-    cache_decimals: int = 2
+    #: decimal places a query's coordinates are rounded to when it is
+    #: parsed: the site it is answered at, echoed and cached under
+    cache_decimals: int = DEFAULT_DECIMALS
     #: pass-finder sampling step (s)
     coarse_step_s: float = 30.0
     #: abort the connection when a client will not drain its socket
@@ -99,7 +100,8 @@ class ServingConfig:
         # each forked fleet worker) builds its service, batchers, result
         # cache or clock: a bad config is one ValueError up front.
         for name, low in (("window_s", 0), ("max_batch", 1),
-                          ("max_pending", 1), ("cache_entries", 1)):
+                          ("max_pending", 1), ("cache_entries", 1),
+                          ("cache_decimals", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(
                     f"{name} must be >= {low}, got {getattr(self, name)!r}")
@@ -179,22 +181,16 @@ class ServingServer:
         # event loop never blocks on compute.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="satiot-serving")
-        handlers = {
-            "passes": self.service.passes_batch,
-            "presence": self.service.presence_batch,
-            "link_budget": self.service.link_budget_batch,
-            "compare": self.service.compare_batch,
-        }
         self._batchers: Dict[str, MicroBatcher] = {
             name: MicroBatcher(
-                handler,
+                getattr(self.service, f"{name}_batch"),
                 max_batch=self.config.max_batch,
                 window_s=self.config.window_s,
                 max_pending=self.config.max_pending,
                 retry_after_s=self.config.retry_after_s,
                 metrics=self.metrics.endpoint(name),
                 executor=self._executor)
-            for name, handler in handlers.items()
+            for name, _ in _ENDPOINTS.values()
         }
         self._server: Optional[asyncio.AbstractServer] = None
         self._started_at = time.monotonic()
@@ -435,15 +431,15 @@ class ServingServer:
                 else self.service.constellation_names
             query = request_type.from_params(
                 request.params(), known=known, clock=self.clock,
-                epochs=self.service.epochs)
+                epochs=self.service.epochs,
+                decimals=self.config.cache_decimals)
         except HTTPError as exc:
             return exc.status, {"error": exc.message}
         except ValueError as exc:
             return 400, {"error": str(exc)}
 
         em = self.metrics.endpoint(endpoint)
-        key = query.cache_key(self.config.cache_decimals)
-        cached = self.cache.get(key)
+        cached = self.cache.get(query)
         em.observe_cache(cached is not None)
         if cached is not None:
             return 200, cached
@@ -460,5 +456,5 @@ class ServingServer:
         except Exception as exc:  # handler fault → contained 500
             return 500, {"error": f"internal error: {exc}"}
         body = encode_json(payload)
-        self.cache.put(key, body)
+        self.cache.put(query, body)
         return 200, body

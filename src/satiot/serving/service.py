@@ -10,8 +10,14 @@ concurrent requests into shared array work:
 * ``link_budget_batch`` — instantaneous per-satellite geometry, RSSI
   breakdown, link margin, Doppler and airtime at one instant.
 
-Batched requests that share query parameters are grouped, and every
-group — a lone observer too — is answered by one fleet pass search
+A parsed request is its query's identity.  ``from_params`` rounds the
+site to the server's ``cache_decimals``, so the result cache keys on
+the frozen request itself and every answer is a function of that key
+alone, whatever was asked before and whichever fleet worker asks.
+Requests of one batch whose :meth:`~_SiteRequest.group_key` agrees —
+every field but the site and the type's ``PER_REQUEST`` fields — form
+a group, and every group, a lone observer too, is answered by one
+fleet pass search
 (:meth:`satiot.runtime.EphemerisCache.find_passes_fleet`): the whole
 constellation is one cached ``(N, T, 3)`` grid, propagated as one
 struct-of-arrays :class:`~satiot.orbits.sgp4_batch.SGP4Batch` call,
@@ -27,8 +33,8 @@ single-worker executor (one batch in flight at a time per batcher).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from ..orbits.passes import ContactWindow, check_elevation_mask
 from ..orbits.timebase import Epoch
 from ..orbits.topocentric import ecef_states, look_angles_from_ecef
 from ..phy.link_budget import LinkBudget
-from ..phy.lora import LoRaModulation, sensitivity_dbm
+from ..phy.lora import sensitivity_dbm
 from ..runtime.ephemeris_cache import EphemerisCache
 from ..twin.clock import SimClock, parse_time_query
 from .cache import quantize_coord
@@ -51,13 +57,17 @@ __all__ = ["CompareRequest", "ConstellationService", "LinkBudgetRequest",
            "PassesRequest", "PresenceRequest", "DEFAULT_CONSTELLATION"]
 
 DEFAULT_CONSTELLATION = "tianqi"
+#: decimal places a parsed site keeps (``ServingConfig.cache_decimals``)
+DEFAULT_DECIMALS = 2
 MAX_HORIZON_S = 7 * 86400.0
+_SITE = ("latitude_deg", "longitude_deg", "altitude_km")
 
 
 def _get_float(params: dict, key: str, default: float) -> float:
     value = params.get(key, default)
     try:
-        return float(value)
+        # -0.0 is falsy, so it parses as 0.0: equal keys, one text.
+        return float(value) or 0.0
     except (TypeError, ValueError) as exc:
         raise ValueError(f"parameter {key!r} must be a number, "
                          f"got {value!r}") from exc
@@ -72,13 +82,43 @@ def _get_int(params: dict, key: str, default: int) -> int:
                          f"got {value!r}") from exc
 
 
+def _window_kwargs(params: dict, clock: Optional[SimClock],
+                   epoch: Optional[Epoch],
+                   allow_next: bool) -> Tuple[dict, str]:
+    """Parse and check the ``horizon_s``, ``min_elevation_deg`` and
+    ``start`` of a time-windowed query, plus the start's mode.
+
+    The window ``[start, start + horizon]`` must stay inside the
+    serving horizon, so the start offset is bounded by what is left
+    after the horizon.
+    """
+    horizon_s = _get_float(params, "horizon_s", 86400.0)
+    min_elevation_deg = _get_float(params, "min_elevation_deg", 10.0)
+    if not 0.0 < horizon_s <= MAX_HORIZON_S:
+        raise ValueError(f"horizon_s must be in (0, {MAX_HORIZON_S:.0f}]")
+    check_elevation_mask(min_elevation_deg)
+    start_s, mode = parse_time_query(
+        params.get("start"), clock=clock, epoch=epoch,
+        horizon_s=MAX_HORIZON_S - horizon_s, allow_next=allow_next)
+    return {"horizon_s": horizon_s, "min_elevation_deg": min_elevation_deg,
+            "start_s": start_s or 0.0}, mode
+
+
 @dataclass(frozen=True)
 class _SiteRequest:
-    """The observer site every query shape carries."""
+    """The observer site every query shape carries.
+
+    A parsed request is its own result-cache key: every field shapes
+    the answer, and nothing else does.
+    """
 
     latitude_deg: float
     longitude_deg: float
     altitude_km: float = 0.0
+
+    #: fields that shape only their own request's payload, never the
+    #: geometry its batch group shares
+    PER_REQUEST: ClassVar[Tuple[str, ...]] = ()
 
     def observer(self) -> GeodeticPoint:
         return GeodeticPoint(self.latitude_deg, self.longitude_deg,
@@ -89,9 +129,20 @@ class _SiteRequest:
                 "longitude_deg": self.longitude_deg,
                 "altitude_km": self.altitude_km}
 
+    def group_key(self) -> tuple:
+        """The request type and every field but the site and
+        ``PER_REQUEST``: requests with equal keys share one geometry
+        computation."""
+        skip = _SITE + self.PER_REQUEST
+        return (type(self),) + tuple(getattr(self, f.name)
+                                     for f in fields(self)
+                                     if f.name not in skip)
+
     @staticmethod
-    def _site_kwargs(params: dict) -> dict:
-        """Parse and range-check ``lat``, ``lon`` and ``alt_km``."""
+    def _site_kwargs(params: dict, decimals: int) -> dict:
+        """Parse and range-check ``lat``, ``lon`` and ``alt_km``, then
+        round them to ``decimals`` places: the site the query is
+        answered at, echoed and cached under."""
         if "lat" not in params or "lon" not in params:
             raise ValueError("parameters 'lat' and 'lon' are required")
         kwargs = {
@@ -105,12 +156,8 @@ class _SiteRequest:
             raise ValueError("lon must be within [-180, 180]")
         if not -0.5 <= kwargs["altitude_km"] <= 50.0:
             raise ValueError("alt_km must be within [-0.5, 50]")
-        return kwargs
-
-    def _quantized_site(self, decimals: int) -> Tuple[float, float, float]:
-        return (quantize_coord(self.latitude_deg, decimals),
-                quantize_coord(self.longitude_deg, decimals),
-                quantize_coord(self.altitude_km, decimals))
+        return {name: quantize_coord(value, decimals)
+                for name, value in kwargs.items()}
 
 
 @dataclass(frozen=True)
@@ -120,8 +167,8 @@ class _ObserverRequest(_SiteRequest):
     constellation: str = DEFAULT_CONSTELLATION
 
     @classmethod
-    def _base_kwargs(cls, params: dict,
-                     known: Optional[Sequence[str]] = None) -> dict:
+    def _base_kwargs(cls, params: dict, known: Optional[Sequence[str]],
+                     decimals: int) -> dict:
         constellation = str(params.get("constellation",
                                        DEFAULT_CONSTELLATION)).lower()
         # With ``known`` (the serving layer passes its loaded names,
@@ -134,25 +181,8 @@ class _ObserverRequest(_SiteRequest):
             raise ValueError(
                 f"unknown constellation {constellation!r}; choose from "
                 f"{valid}")
-        return dict(cls._site_kwargs(params), constellation=constellation)
-
-
-def _resolve_start(params: dict, constellation: str,
-                   clock: Optional[SimClock],
-                   epochs: Optional[Dict[str, Epoch]],
-                   horizon_s: float,
-                   allow_next: bool = True) -> Tuple[float, str]:
-    """Resolve the ``start=`` parameter of a time-windowed query.
-
-    The resulting window ``[start, start + horizon]`` must stay inside
-    the serving horizon, so the offset itself is bounded by what is
-    left after the horizon — the parser enforces it in one place.
-    """
-    epoch = (epochs or {}).get(constellation)
-    return parse_time_query(params.get("start"), clock=clock,
-                            epoch=epoch,
-                            horizon_s=MAX_HORIZON_S - horizon_s,
-                            allow_next=allow_next)
+        return dict(cls._site_kwargs(params, decimals),
+                    constellation=constellation)
 
 
 @dataclass(frozen=True)
@@ -164,39 +194,26 @@ class PassesRequest(_ObserverRequest):
     max_passes: int = 0          # 0 = unlimited
     start_s: float = 0.0         # window start, seconds past the epoch
 
+    PER_REQUEST = ("max_passes",)
+
     @classmethod
     def from_params(cls, params: dict,
                     known: Optional[Sequence[str]] = None,
                     clock: Optional[SimClock] = None,
                     epochs: Optional[Dict[str, Epoch]] = None,
+                    decimals: int = DEFAULT_DECIMALS,
                     ) -> "PassesRequest":
-        kwargs = cls._base_kwargs(params, known=known)
-        kwargs["horizon_s"] = _get_float(params, "horizon_s", 86400.0)
-        kwargs["min_elevation_deg"] = _get_float(
-            params, "min_elevation_deg", 10.0)
+        kwargs = cls._base_kwargs(params, known, decimals)
         kwargs["max_passes"] = _get_int(params, "max_passes", 0)
-        if not 0.0 < kwargs["horizon_s"] <= MAX_HORIZON_S:
-            raise ValueError(
-                f"horizon_s must be in (0, {MAX_HORIZON_S:.0f}]")
-        check_elevation_mask(kwargs["min_elevation_deg"])
         if kwargs["max_passes"] < 0:
             raise ValueError("max_passes must be non-negative")
-        kwargs["start_s"], mode = _resolve_start(
-            params, kwargs["constellation"], clock, epochs,
-            kwargs["horizon_s"])
+        window, mode = _window_kwargs(
+            params, clock, (epochs or {}).get(kwargs["constellation"]),
+            allow_next=True)
         if mode == "next":
             # "the next pass from now": one window, from the clock.
             kwargs["max_passes"] = 1
-        return cls(**kwargs)
-
-    def group_key(self) -> tuple:
-        return ("passes", self.constellation, self.horizon_s,
-                self.min_elevation_deg, self.start_s)
-
-    def cache_key(self, decimals: int = 2) -> tuple:
-        return ("passes", self.constellation,
-                self._quantized_site(decimals), self.horizon_s,
-                self.min_elevation_deg, self.max_passes, self.start_s)
+        return cls(**kwargs, **window)
 
 
 @dataclass(frozen=True)
@@ -212,28 +229,13 @@ class PresenceRequest(_ObserverRequest):
                     known: Optional[Sequence[str]] = None,
                     clock: Optional[SimClock] = None,
                     epochs: Optional[Dict[str, Epoch]] = None,
+                    decimals: int = DEFAULT_DECIMALS,
                     ) -> "PresenceRequest":
-        kwargs = cls._base_kwargs(params, known=known)
-        kwargs["horizon_s"] = _get_float(params, "horizon_s", 86400.0)
-        kwargs["min_elevation_deg"] = _get_float(
-            params, "min_elevation_deg", 10.0)
-        if not 0.0 < kwargs["horizon_s"] <= MAX_HORIZON_S:
-            raise ValueError(
-                f"horizon_s must be in (0, {MAX_HORIZON_S:.0f}]")
-        check_elevation_mask(kwargs["min_elevation_deg"])
-        kwargs["start_s"], _ = _resolve_start(
-            params, kwargs["constellation"], clock, epochs,
-            kwargs["horizon_s"], allow_next=False)
-        return cls(**kwargs)
-
-    def group_key(self) -> tuple:
-        return ("presence", self.constellation, self.horizon_s,
-                self.min_elevation_deg, self.start_s)
-
-    def cache_key(self, decimals: int = 2) -> tuple:
-        return ("presence", self.constellation,
-                self._quantized_site(decimals), self.horizon_s,
-                self.min_elevation_deg, self.start_s)
+        kwargs = cls._base_kwargs(params, known, decimals)
+        window, _ = _window_kwargs(
+            params, clock, (epochs or {}).get(kwargs["constellation"]),
+            allow_next=False)
+        return cls(**kwargs, **window)
 
 
 @dataclass(frozen=True)
@@ -246,13 +248,17 @@ class LinkBudgetRequest(_ObserverRequest):
     payload_bytes: int = 0       # 0 = constellation beacon payload
     raining: bool = False
 
+    PER_REQUEST = ("min_elevation_deg", "spreading_factor",
+                   "payload_bytes", "raining")
+
     @classmethod
     def from_params(cls, params: dict,
                     known: Optional[Sequence[str]] = None,
                     clock: Optional[SimClock] = None,
                     epochs: Optional[Dict[str, Epoch]] = None,
+                    decimals: int = DEFAULT_DECIMALS,
                     ) -> "LinkBudgetRequest":
-        kwargs = cls._base_kwargs(params, known=known)
+        kwargs = cls._base_kwargs(params, known, decimals)
         if str(params.get("t_offset_s", "")).strip().lower() == "now":
             if clock is None:
                 raise ValueError(
@@ -281,15 +287,6 @@ class LinkBudgetRequest(_ObserverRequest):
             raise ValueError("payload_bytes must be in 0..255")
         return cls(**kwargs)
 
-    def group_key(self) -> tuple:
-        return ("link_budget", self.constellation, self.t_offset_s)
-
-    def cache_key(self, decimals: int = 2) -> tuple:
-        return ("link_budget", self.constellation,
-                self._quantized_site(decimals), self.t_offset_s,
-                self.min_elevation_deg, self.spreading_factor,
-                self.payload_bytes, self.raining)
-
 
 @dataclass(frozen=True)
 class CompareRequest(_SiteRequest):
@@ -311,6 +308,7 @@ class CompareRequest(_SiteRequest):
                     known: Optional[Sequence[str]] = None,
                     clock: Optional[SimClock] = None,
                     epochs: Optional[Dict[str, Epoch]] = None,
+                    decimals: int = DEFAULT_DECIMALS,
                     ) -> "CompareRequest":
         valid = sorted(known) if known is not None \
             else sorted(provider_names())
@@ -331,17 +329,11 @@ class CompareRequest(_SiteRequest):
                 raise ValueError("providers list is empty")
         else:
             names = list(valid)
-        kwargs = dict(cls._site_kwargs(params), providers=tuple(names))
-        kwargs["horizon_s"] = _get_float(params, "horizon_s", 86400.0)
-        kwargs["min_elevation_deg"] = _get_float(
-            params, "min_elevation_deg", 10.0)
+        kwargs = dict(cls._site_kwargs(params, decimals),
+                      providers=tuple(names))
         kwargs["packets_per_day"] = _get_float(
             params, "packets_per_day", 48.0)
         kwargs["payload_bytes"] = _get_int(params, "payload_bytes", 20)
-        if not 0.0 < kwargs["horizon_s"] <= MAX_HORIZON_S:
-            raise ValueError(
-                f"horizon_s must be in (0, {MAX_HORIZON_S:.0f}]")
-        check_elevation_mask(kwargs["min_elevation_deg"])
         if not 0.0 < kwargs["packets_per_day"] <= 86400.0:
             raise ValueError("packets_per_day must be in (0, 86400]")
         if not 1 <= kwargs["payload_bytes"] <= 1024:
@@ -349,22 +341,8 @@ class CompareRequest(_SiteRequest):
         # Providers are all built on one shared synthetic epoch, so an
         # ISO start has no single constellation to resolve against —
         # numeric offsets and 'now' cover the compare use cases.
-        kwargs["start_s"], _ = parse_time_query(
-            params.get("start"), clock=clock,
-            horizon_s=MAX_HORIZON_S - kwargs["horizon_s"],
-            allow_next=False)
-        return cls(**kwargs)
-
-    def group_key(self) -> tuple:
-        return ("compare", self.providers, self.horizon_s,
-                self.min_elevation_deg, self.start_s,
-                self.packets_per_day, self.payload_bytes)
-
-    def cache_key(self, decimals: int = 2) -> tuple:
-        return ("compare", self.providers,
-                self._quantized_site(decimals), self.horizon_s,
-                self.min_elevation_deg, self.start_s,
-                self.packets_per_day, self.payload_bytes)
+        window, _ = _window_kwargs(params, clock, None, allow_next=False)
+        return cls(**kwargs, **window)
 
 
 class ConstellationService:
@@ -466,23 +444,11 @@ class ConstellationService:
     # ------------------------------------------------------------------
     # Shared pass computation
     # ------------------------------------------------------------------
-    def _windows_for_group(self, constellation: str,
-                           observers: Sequence[GeodeticPoint],
-                           horizon_s: float, min_elevation_deg: float,
-                           start_s: float = 0.0,
-                           ) -> List[List[ContactWindow]]:
-        const = self.constellation(constellation)
-        epoch = self.epoch(constellation)
-        return self._windows_for(const, epoch, observers, horizon_s,
-                                 min_elevation_deg, start_s)
-
     def _windows_for(self, const: Constellation, epoch: Epoch,
-                     observers: Sequence[GeodeticPoint],
-                     horizon_s: float, min_elevation_deg: float,
-                     start_s: float = 0.0,
+                     group: Sequence[_SiteRequest],
                      ) -> List[List[ContactWindow]]:
         """Merged, rise-sorted windows of the whole constellation for
-        each observer of a parameter-homogeneous group.
+        each request of a group (whose window fields agree).
 
         A non-zero ``start_s`` widens the predicted span to
         ``[0, start_s + horizon_s]``: window times stay relative to the
@@ -491,17 +457,18 @@ class ConstellationService:
         ephemeris tier serves them via incremental extension instead
         of recomputing per quantum.
         """
-        horizon_s = float(start_s) + float(horizon_s)
-        per_observer: List[List[ContactWindow]] = \
-            [[] for _ in observers]
+        lead = group[0]
+        horizon_s = float(lead.start_s) + float(lead.horizon_s)
+        per_observer: List[List[ContactWindow]] = [[] for _ in group]
         # All N satellites x M observers through one cached
         # constellation grid, one GMST/ECEF pass and one
         # observer-geometry precompute.  Extension is satellite-major
         # and the rise-time sort stable, so ties keep satellite order.
         per_sat = self.ephemeris.find_passes_fleet(
-            [sat.propagator for sat in const], observers, epoch,
+            [sat.propagator for sat in const],
+            [request.observer() for request in group], epoch,
             horizon_s, coarse_step_s=self.coarse_step_s,
-            min_elevation_deg=min_elevation_deg, refine=self.refine)
+            min_elevation_deg=lead.min_elevation_deg, refine=self.refine)
         for rows in per_sat:
             for windows, acc in zip(rows, per_observer):
                 acc.extend(windows)
@@ -509,30 +476,41 @@ class ConstellationService:
             acc.sort(key=lambda w: w.rise_s)
         return per_observer
 
+    def _site_windows(self, group: Sequence[_ObserverRequest],
+                      ) -> List[List[ContactWindow]]:
+        name = group[0].constellation
+        return self._windows_for(self.constellation(name),
+                                 self.epoch(name), group)
+
     @staticmethod
-    def _group_indices(requests: Sequence[object]) -> Dict[tuple,
-                                                           List[int]]:
+    def _batch(requests: Sequence[_SiteRequest],
+               shared: Callable[[list], list],
+               payload: Callable[..., dict]) -> List[dict]:
+        """The batch loop of every endpoint.
+
+        Groups ``requests`` by :meth:`~_SiteRequest.group_key`, computes
+        each group's shared geometry once (``shared(group)``: one item
+        per request) and builds each request's ``payload(request,
+        item)``.  Results keep request order.
+        """
         groups: Dict[tuple, List[int]] = {}
         for index, request in enumerate(requests):
             groups.setdefault(request.group_key(), []).append(index)
-        return groups
+        results: List[Optional[dict]] = [None] * len(requests)
+        for indices in groups.values():
+            group = [requests[i] for i in indices]
+            for index, request, item in zip(indices, group,
+                                            shared(group)):
+                results[index] = payload(request, item)
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # /v1/passes
     # ------------------------------------------------------------------
     def passes_batch(self, requests: Sequence[PassesRequest],
                      ) -> List[dict]:
-        results: List[Optional[dict]] = [None] * len(requests)
-        for _, indices in self._group_indices(requests).items():
-            group = [requests[i] for i in indices]
-            observers = [r.observer() for r in group]
-            per_observer = self._windows_for_group(
-                group[0].constellation, observers, group[0].horizon_s,
-                group[0].min_elevation_deg, group[0].start_s)
-            for request, index, windows in zip(group, indices,
-                                               per_observer):
-                results[index] = self._passes_payload(request, windows)
-        return results  # type: ignore[return-value]
+        return self._batch(requests, self._site_windows,
+                           self._passes_payload)
 
     def _passes_payload(self, request: PassesRequest,
                         windows: Sequence[ContactWindow]) -> dict:
@@ -573,17 +551,8 @@ class ConstellationService:
     # ------------------------------------------------------------------
     def presence_batch(self, requests: Sequence[PresenceRequest],
                        ) -> List[dict]:
-        results: List[Optional[dict]] = [None] * len(requests)
-        for _, indices in self._group_indices(requests).items():
-            group = [requests[i] for i in indices]
-            observers = [r.observer() for r in group]
-            per_observer = self._windows_for_group(
-                group[0].constellation, observers, group[0].horizon_s,
-                group[0].min_elevation_deg, group[0].start_s)
-            for request, index, windows in zip(group, indices,
-                                               per_observer):
-                results[index] = self._presence_payload(request, windows)
-        return results  # type: ignore[return-value]
+        return self._batch(requests, self._site_windows,
+                           self._presence_payload)
 
     @staticmethod
     def _coverage(windows: Sequence[ContactWindow], start_s: float,
@@ -646,23 +615,18 @@ class ConstellationService:
         endpoints use), then per-request payloads are derived from the
         shared windows.
         """
-        results: List[Optional[dict]] = [None] * len(requests)
-        for _, indices in self._group_indices(requests).items():
-            group = [requests[i] for i in indices]
-            observers = [r.observer() for r in group]
-            lead = group[0]
-            per_provider: Dict[str, List[List[ContactWindow]]] = {}
-            for name in lead.providers:
-                const, epoch = self._provider_constellation(name)
-                per_provider[name] = self._windows_for(
-                    const, epoch, observers, lead.horizon_s,
-                    lead.min_elevation_deg, lead.start_s)
-            for pos, (request, index) in enumerate(zip(group, indices)):
-                results[index] = self._compare_payload(
-                    request,
-                    {name: per_provider[name][pos]
-                     for name in lead.providers})
-        return results  # type: ignore[return-value]
+        return self._batch(requests, self._provider_windows,
+                           self._compare_payload)
+
+    def _provider_windows(self, group: Sequence[CompareRequest],
+                          ) -> List[Dict[str, List[ContactWindow]]]:
+        per_provider = {
+            name: self._windows_for(*self._provider_constellation(name),
+                                    group)
+            for name in group[0].providers}
+        return [{name: windows[pos]
+                 for name, windows in per_provider.items()}
+                for pos in range(len(group))]
 
     def _compare_payload(self, request: CompareRequest,
                          windows_by_provider: Dict[
@@ -693,16 +657,9 @@ class ConstellationService:
             # frames actually transmitted per day (billing fragments +
             # expected retries) at the radio's max uplink EIRP.
             radio = prov.constellation.radio
-            modulation = LoRaModulation(
-                spreading_factor=radio.spreading_factor,
-                bandwidth_hz=radio.bandwidth_hz,
-                coding_rate=radio.coding_rate,
-                preamble_symbols=radio.preamble_symbols,
-                explicit_header=radio.explicit_header,
-                low_data_rate_optimize=radio.low_data_rate_optimize)
             frame_bytes = min(request.payload_bytes,
                               prov.costs.max_payload_bytes)
-            airtime = modulation.airtime_s(frame_bytes)
+            airtime = radio.modulation().airtime_s(frame_bytes)
             frames = prov.costs.packets_for_payload(
                 request.payload_bytes)
             tx_per_day = (request.packets_per_day * frames
@@ -773,43 +730,32 @@ class ConstellationService:
     # ------------------------------------------------------------------
     def link_budget_batch(self, requests: Sequence[LinkBudgetRequest],
                           ) -> List[dict]:
-        results: List[Optional[dict]] = [None] * len(requests)
-        for _, indices in self._group_indices(requests).items():
-            group = [requests[i] for i in indices]
-            const = self.constellation(group[0].constellation)
-            epoch = self.epoch(group[0].constellation)
-            t = group[0].t_offset_s
-            # Observer-independent work, once per group: the fleet's
-            # states at t (one cached grid of one instant), converted
-            # to ECEF in one vectorized call (shared instant → shared
-            # GMST).
-            r, v = self.ephemeris.constellation_grid(
-                [sat.propagator for sat in const], epoch, [t])
-            r_ecef, v_ecef = ecef_states(r[:, 0], v[:, 0],
-                                         epoch.offset_jd(t))
-            for request, index in zip(group, indices):
-                results[index] = self._link_budget_payload(
-                    request, const, r_ecef, v_ecef)
-        return results  # type: ignore[return-value]
+        return self._batch(requests, self._fleet_states,
+                           self._link_budget_payload)
+
+    def _fleet_states(self, group: Sequence[LinkBudgetRequest]) -> list:
+        """Observer-independent work, once per group: the fleet's
+        states at t (one cached grid of one instant), converted to ECEF
+        in one vectorized call (shared instant → shared GMST)."""
+        name, t = group[0].constellation, group[0].t_offset_s
+        const, epoch = self.constellation(name), self.epoch(name)
+        r, v = self.ephemeris.constellation_grid(
+            [sat.propagator for sat in const], epoch, [t])
+        states = (const,) + ecef_states(r[:, 0], v[:, 0],
+                                        epoch.offset_jd(t))
+        return [states] * len(group)
 
     def _link_budget_payload(self, request: LinkBudgetRequest,
-                             const: Constellation,
-                             r_ecef: np.ndarray,
-                             v_ecef: np.ndarray) -> dict:
+                             states: tuple) -> dict:
+        const, r_ecef, v_ecef = states
         radio = const.radio
         sf = request.spreading_factor or radio.spreading_factor
         payload_bytes = request.payload_bytes or \
             radio.beacon_payload_bytes
         budget = LinkBudget(eirp_dbm=radio.beacon_eirp_dbm,
                             frequency_hz=radio.frequency_hz)
-        modulation = LoRaModulation(
-            spreading_factor=sf, bandwidth_hz=radio.bandwidth_hz,
-            coding_rate=radio.coding_rate,
-            preamble_symbols=radio.preamble_symbols,
-            explicit_header=radio.explicit_header,
-            low_data_rate_optimize=radio.low_data_rate_optimize)
         sensitivity = sensitivity_dbm(sf, radio.bandwidth_hz)
-        airtime = modulation.airtime_s(payload_bytes)
+        airtime = radio.modulation(sf).airtime_s(payload_bytes)
 
         angles = look_angles_from_ecef(request.observer(),
                                        r_ecef, v_ecef)

@@ -29,14 +29,15 @@ Topology
   payloads are byte-identical — proven by the fallback test suite.
 
 * **Caches are shared-nothing by design.**  Each worker owns a private
-  result cache keyed on deterministic quantized request tuples; because
-  every worker's compute is bit-deterministic, the *value* under a key
-  is identical no matter which worker computes it.  Routing therefore
-  affects hit rates, never bytes.  The expensive state — the
-  ``(N, T, 3)`` constellation ephemeris — is **not** duplicated: all
-  workers share one disk tier and open grid segments via
-  ``np.load(mmap_mode="r")``, so the fleet holds one resident copy of
-  the fleet ephemeris machine-wide (see
+  result cache keyed on the parsed request, whose site is already
+  rounded to ``cache_decimals``.  Every worker computes a key's answer
+  from the key alone, bit-deterministically, so the *value* under a
+  key is identical whichever worker computes it and whatever it was
+  asked before.  Routing therefore affects hit rates, never bytes.
+  The expensive state — the ``(N, T, 3)`` constellation ephemeris —
+  is **not** duplicated: all workers share one disk tier and open grid
+  segments via ``np.load(mmap_mode="r")``, so the fleet holds one
+  resident copy of the fleet ephemeris machine-wide (see
   :mod:`satiot.runtime.ephemeris_cache`).
 
 * **Supervision.**  A monitor thread reaps crashed workers and
@@ -142,7 +143,7 @@ class FleetConfig:
     #: crashing worker slot is abandoned (the rest keep serving).
     max_restarts: int = 64
     #: Shared ephemeris disk tier.  None → a private temp directory,
-    #: removed on :meth:`ServingFleet.stop`.
+    #: made by :meth:`ServingFleet.start` and removed by ``stop``.
     ephemeris_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -367,9 +368,9 @@ class ServingFleet:
         self._control_lock = threading.Lock()
         self._rr = 0
         self._seq = 0
-        self._owns_ephemeris_dir = self.fleet.ephemeris_dir is None
-        self.ephemeris_dir = self.fleet.ephemeris_dir or \
-            tempfile.mkdtemp(prefix="satiot-fleet-ephemeris-")
+        # None until start() makes a private one (stop() removes it).
+        self.ephemeris_dir: Optional[str] = self.fleet.ephemeris_dir
+        self._owns_ephemeris_dir = False
         self._started = False
 
     # ------------------------------------------------------------------
@@ -403,11 +404,24 @@ class ServingFleet:
     def start(self) -> int:
         """Bind the port, fork the workers, start supervision.
 
-        Returns the bound port (useful with ``port=0``).
+        Returns the bound port (useful with ``port=0``).  A start that
+        fails (a port in use) stops the fleet before it raises, so no
+        socket, worker or temp directory outlives it.
         """
         if self._started:
             raise RuntimeError("fleet already started")
         self._started = True
+        try:
+            return self._start()
+        except BaseException:
+            self.stop()
+            raise
+
+    def _start(self) -> int:
+        if self.ephemeris_dir is None:
+            self.ephemeris_dir = tempfile.mkdtemp(
+                prefix="satiot-fleet-ephemeris-")
+            self._owns_ephemeris_dir = True
         host, port = self.config.host, self.config.port
         if self.reuseport:
             # Reserve the port with a bound (never listening) socket so

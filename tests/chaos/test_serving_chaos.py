@@ -40,7 +40,7 @@ _reference = {}
 
 def config(**overrides) -> ServingConfig:
     defaults = dict(port=0, coarse_step_s=120.0, window_s=0.01,
-                    cache_decimals=6, write_timeout_s=5.0)
+                    write_timeout_s=5.0)
     defaults.update(overrides)
     return ServingConfig(**defaults)
 

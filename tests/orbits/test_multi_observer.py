@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 from satiot.constellations.catalog import build_constellation
 from satiot.orbits import GeodeticPoint, find_passes_fleet
 from satiot.orbits.passes import PassPredictor, observer_geometry
-from satiot.orbits.topocentric import (batch_elevations,
-                                       batch_look_angles, ecef_states,
-                                       elevation_from_ecef, look_angles)
+from satiot.orbits.topocentric import (ecef_states, elevation_from_ecef,
+                                       look_angles)
 from satiot.runtime.ephemeris_cache import EphemerisCache
 
 SEED = 7
@@ -58,33 +57,6 @@ observer_strategy = st.builds(
 
 
 class TestLookAngleBitIdentity:
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(observer_strategy, min_size=1, max_size=5))
-    def test_batch_look_angles_rows_equal_serial(self, states,
-                                                 observers):
-        epoch, offsets, r, v = states
-        jd = epoch.offset_jd(offsets)
-        batched = batch_look_angles(observers, r, v, jd)
-        for m, observer in enumerate(observers):
-            serial = look_angles(observer, r, v, jd)
-            assert np.array_equal(batched.azimuth_deg[m],
-                                  serial.azimuth_deg)
-            assert np.array_equal(batched.elevation_deg[m],
-                                  serial.elevation_deg)
-            assert np.array_equal(batched.range_km[m],
-                                  serial.range_km)
-            assert np.array_equal(batched.range_rate_km_s[m],
-                                  serial.range_rate_km_s)
-
-    def test_batch_elevations_rows_equal_serial(self, states):
-        epoch, offsets, r, v = states
-        r_ecef, _ = ecef_states(r, v, epoch.offset_jd(offsets))
-        matrix = batch_elevations(EDGE_OBSERVERS, r_ecef)
-        assert matrix.shape == (len(EDGE_OBSERVERS), offsets.size)
-        for m, observer in enumerate(EDGE_OBSERVERS):
-            assert np.array_equal(
-                matrix[m], elevation_from_ecef(observer, r_ecef))
-
     def test_precomputed_geometry_is_bit_identical(self, states):
         epoch, offsets, r, v = states
         r_ecef, _ = ecef_states(r, v, epoch.offset_jd(offsets))

@@ -27,6 +27,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import tempfile
 import time
 
 import pytest
@@ -38,14 +39,14 @@ from satiot.serving import (FleetConfig, ServingConfig, ServingFleet,
 from satiot.serving.server import build_service
 from satiot.serving.supervisor import REUSEPORT_ENV, WORKERS_ENV
 
-from tests.serving.test_server import request, run, with_server
+from tests.serving.test_server import SAME_CELL, request, run, with_server
 
 pytestmark = pytest.mark.skipif(
     not fork_available(),
     reason="fleet workers require the fork start method")
 
 # Deterministic probe set: same coordinates → byte-identical bodies
-# across modes (cache_decimals below makes quantization exact).
+# across modes.
 PROBE_PATHS = tuple(
     f"/v1/passes?constellation=pico&lat={lat:.6f}&lon={lon:.6f}"
     f"&horizon_s=3600&min_elevation_deg=10"
@@ -55,8 +56,7 @@ PROBE_PATHS = tuple(
 
 def fast_config(**overrides) -> ServingConfig:
     defaults = dict(port=0, constellations=("pico",),
-                    coarse_step_s=120.0, window_s=0.01,
-                    cache_decimals=6)
+                    coarse_step_s=120.0, window_s=0.01)
     defaults.update(overrides)
     return ServingConfig(**defaults)
 
@@ -198,6 +198,29 @@ class TestFallbackMode:
 
 
 # ----------------------------------------------------------------------
+class TestSameCell:
+    def test_fleet_matches_lone_server_across_workers(self):
+        """Queries of one cell get one body on any worker: the answer
+        is a function of the parsed request, not of what the worker
+        that serves it was asked before."""
+        async def scenario(server):
+            return [(await request(server.bound_port, path))[2]
+                    for path in SAME_CELL]
+
+        lone = run(with_server(fast_config(), scenario))
+        # Round-robin routing: consecutive queries reach different
+        # workers, so the first worker's cache cannot answer the second.
+        with ServingFleet(fast_config(),
+                          FleetConfig(workers=2,
+                                      reuseport=False)) as fleet:
+            fleet.wait_ready()
+            bodies = [fetch(fleet.bound_port, path)[1]
+                      for path in SAME_CELL]
+        assert [json.loads(body) for body in bodies] == lone
+        assert len(set(bodies)) == 1
+
+
+# ----------------------------------------------------------------------
 class TestSupervision:
     def test_sigkilled_worker_is_respawned(self):
         with ServingFleet(fast_config(),
@@ -228,6 +251,36 @@ class TestSupervision:
         for pid in pids:
             with pytest.raises(OSError):
                 os.kill(pid, 0)
+
+
+# ----------------------------------------------------------------------
+class TestTempDir:
+    """The private ephemeris directory exists from start() to stop()."""
+
+    @pytest.fixture
+    def tempdir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_unstarted_fleet_makes_no_directory(self, tempdir):
+        ServingFleet(fast_config(), FleetConfig(workers=2))
+        assert not list(tempdir.glob("satiot-fleet-ephemeris-*"))
+
+    @pytest.mark.parametrize("reuseport", [True, False])
+    def test_failed_start_leaves_nothing(self, tempdir, reuseport):
+        if reuseport and not reuseport_available():
+            pytest.skip("kernel lacks SO_REUSEPORT")
+        before = set(multiprocessing.active_children())
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            config = fast_config(port=busy.getsockname()[1])
+            with pytest.raises(OSError):
+                with ServingFleet(config, FleetConfig(
+                        workers=2, reuseport=reuseport)):
+                    pass
+        assert not list(tempdir.glob("satiot-fleet-ephemeris-*"))
+        assert set(multiprocessing.active_children()) <= before
 
 
 # ----------------------------------------------------------------------

@@ -272,6 +272,51 @@ class TestBatching:
 
 
 # ----------------------------------------------------------------------
+def same_cell(*lats: str):
+    return tuple(f"/v1/passes?constellation=pico&lat={lat}&lon=114.2"
+                 f"&horizon_s=21600" for lat in lats)
+
+
+#: Two queries in one 0.01-degree cell (the default ``cache_decimals``).
+SAME_CELL = same_cell("22.3012", "22.3044")
+
+
+async def get_body(port: int, path: str) -> bytes:
+    data = await raw_request(port, (f"GET {path} HTTP/1.1\r\nHost: t\r\n"
+                                    f"Connection: close\r\n\r\n").encode())
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200"), head
+    return body
+
+
+class TestSameCell:
+    """A query is answered at its parsed site, so queries of one cell
+    get one body, whatever the server was asked before."""
+
+    @staticmethod
+    def bodies(paths):
+        async def scenario(server):
+            return [await get_body(server.bound_port, path)
+                    for path in paths]
+        return run(with_server(
+            ServingConfig(port=0, constellations=("pico",)), scenario))
+
+    # The equator's cell holds -0.001 and 0.004: -0.0 and 0.0 are one
+    # key, so they must echo one text.
+    @pytest.mark.parametrize("paths, latitude", [
+        (SAME_CELL, "22.3"), (same_cell("-0.001", "0.004"), "0.0")])
+    def test_body_does_not_depend_on_query_order(self, paths, latitude):
+        first, second = paths
+        [alone] = self.bodies([first])
+        assert self.bodies([second]) == [alone]
+        assert self.bodies([first, second]) == [alone, alone]
+        assert self.bodies([second, first]) == [alone, alone]
+        assert alone.startswith(b'{"site":{"latitude_deg":%s,'
+                                b'"longitude_deg":114.2,'
+                                % latitude.encode())
+
+
+# ----------------------------------------------------------------------
 class TestConfigRange:
     """Out-of-range serving values and unknown names are refused by the
     configuration, before any server is built or any fleet worker
@@ -283,7 +328,8 @@ class TestConfigRange:
         ("cache_entries", 0), ("window_s", float("nan")),
         ("rate", 0.0), ("rate", -2.0), ("rate", float("inf")),
         ("rate", float("nan")), ("clock_quantum_s", 0.0),
-        ("coarse_step_s", 0.0), ("providers", ())])
+        ("coarse_step_s", 0.0), ("providers", ()),
+        ("cache_decimals", -1)])
     def test_config_refuses(self, field, value):
         with pytest.raises(ValueError, match=field):
             ServingConfig(**{field: value})

@@ -7,7 +7,7 @@ import pytest
 
 from satiot.serving import (CompareRequest, ConstellationService,
                             LinkBudgetRequest, PassesRequest,
-                            PresenceRequest)
+                            PresenceRequest, ServingConfig)
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -74,10 +74,72 @@ class TestRequestValidation:
         assert request.horizon_s == 3600.0
 
     def test_cache_key_quantizes_location(self):
-        a = PassesRequest.from_params({"lat": 22.3001, "lon": 114.2004})
-        b = PassesRequest.from_params({"lat": 22.3049, "lon": 114.1951})
-        assert a.cache_key(decimals=2) == b.cache_key(decimals=2)
-        assert a.cache_key(decimals=4) != b.cache_key(decimals=4)
+        # The parsed request is the result-cache key.
+        a = {"lat": 22.3001, "lon": 114.2004}
+        b = {"lat": 22.3049, "lon": 114.1951}
+        assert PassesRequest.from_params(a, decimals=2) == \
+            PassesRequest.from_params(b, decimals=2)
+        assert PassesRequest.from_params(a, decimals=4) != \
+            PassesRequest.from_params(b, decimals=4)
+
+    def test_site_is_parsed_at_the_cache_resolution(self):
+        request = PassesRequest.from_params(
+            {"lat": 22.3044, "lon": 114.2, "alt_km": 0.004})
+        assert (request.latitude_deg, request.longitude_deg,
+                request.altitude_km) == (22.3, 114.2, 0.0)
+        # The default is the server's: perfbench's in-process check
+        # parses without ``decimals`` and must match the server.
+        assert PassesRequest.from_params({"lat": 22.3044, "lon": 114.2}) \
+            == PassesRequest.from_params({"lat": 22.3044, "lon": 114.2},
+                                         decimals=ServingConfig()
+                                         .cache_decimals)
+        # Range checks see the raw value, not the rounded one.
+        with pytest.raises(ValueError, match=r"lat must be within"):
+            PassesRequest.from_params({"lat": 90.004, "lon": 0.0})
+
+    def test_negative_zero_is_zero(self):
+        # -0.0 == 0.0, so both parse to one key; they must echo one text.
+        request = LinkBudgetRequest.from_params(
+            {"lat": "-0.001", "lon": "-0", "min_elevation_deg": "-0",
+             "t_offset_s": "-0"})
+        for value in (request.latitude_deg, request.longitude_deg,
+                      request.min_elevation_deg, request.t_offset_s):
+            assert str(value) == "0.0"
+        request = PresenceRequest.from_params({**HK, "start": "-0"})
+        assert str(request.start_s) == "0.0"
+
+    @pytest.mark.parametrize("request_type, base, per_request, shared", [
+        (PassesRequest, {}, {"max_passes": 3},
+         {"horizon_s": 3600.0, "min_elevation_deg": 5.0, "start_s": 60.0,
+          "constellation": "fossa"}),
+        (PresenceRequest, {}, {},
+         {"horizon_s": 3600.0, "min_elevation_deg": 5.0, "start_s": 60.0,
+          "constellation": "fossa"}),
+        (LinkBudgetRequest, {},
+         {"min_elevation_deg": 5.0, "spreading_factor": 12,
+          "payload_bytes": 40, "raining": True},
+         {"t_offset_s": 60.0, "constellation": "fossa"}),
+        (CompareRequest, {"providers": ("tianqi",)}, {},
+         {"providers": ("swarm",), "horizon_s": 3600.0,
+          "min_elevation_deg": 5.0, "start_s": 60.0,
+          "packets_per_day": 24.0, "payload_bytes": 40}),
+    ])
+    def test_group_key_skips_site_and_per_request_fields(
+            self, request_type, base, per_request, shared):
+        lead = request_type(22.3, 114.2, **base)
+        assert set(request_type.PER_REQUEST) == set(per_request)
+        # A different site, or any PER_REQUEST field: same group.
+        assert request_type(-33.9, 151.2, 0.5, **base).group_key() == \
+            lead.group_key()
+        for name, value in per_request.items():
+            other = request_type(22.3, 114.2, **{**base, name: value})
+            assert other.group_key() == lead.group_key(), name
+        # Any other field: another group.
+        for name, value in shared.items():
+            other = request_type(22.3, 114.2, **{**base, name: value})
+            assert other.group_key() != lead.group_key(), name
+        # Types never share a group, even with equal fields.
+        assert lead.group_key()[0] is request_type
 
 
 class TestPasses:
